@@ -1,9 +1,10 @@
 // Command ddrace runs bundled workload kernels under a chosen analysis
 // policy and prints the race and performance report.
 //
-// Multi-run modes (-batch, -compare, -explore) fan their independent runs
-// out across a worker pool (-workers, one per CPU by default); stdout is
+// Multi-run modes (-batch, -explore) fan their independent runs out across
+// a worker pool (-workers, one per CPU by default); stdout is
 // byte-identical for any worker count, and a timing table goes to stderr.
+// -compare analyzes one execution under every policy at once.
 //
 // Telemetry: -trace writes a Chrome trace-event JSON timeline (open in
 // Perfetto or chrome://tracing), -events writes an NDJSON event log, and
@@ -91,7 +92,7 @@ func run(args []string, out, diag io.Writer) error {
 		list      = fs.Bool("list", false, "list bundled kernels and exit")
 		kernel    = fs.String("kernel", "", "kernel to run (see -list)")
 		batch     = fs.String("batch", "", "run many kernels under -policy: comma-separated names, a suite (phoenix|parsec|micro|racy), or \"all\"")
-		workersF  = fs.Int("workers", 0, "parallel fan-out for -batch/-compare/-explore (0 = one per CPU, 1 = serial)")
+		workersF  = fs.Int("workers", 0, "parallel fan-out for -batch/-explore (0 = one per CPU, 1 = serial)")
 		policy    = fs.String("policy", "hitm-demand", "analysis policy: off|continuous|sync-only|hitm-demand|hybrid|sampling|watch-demand|page-demand")
 		rate      = fs.Float64("rate", 0.1, "per-access analysis probability for -policy sampling")
 		watchcap  = fs.Int("watchcap", 0, "watchpoint registers per context for -policy watch-demand (0 = default 4)")
@@ -269,7 +270,7 @@ func run(args []string, out, diag io.Writer) error {
 		if *profOut != "" {
 			return fmt.Errorf("-profile applies to a single run; drop -compare")
 		}
-		return comparePolicies(out, p, cfg, *workersF, *verbose, *metricsF)
+		return comparePolicies(out, p, cfg, *verbose, *metricsF)
 	}
 
 	pol, err := parsePolicy(*policy)
@@ -776,7 +777,7 @@ func exploreSchedules(out io.Writer, p *demandrace.Program, cfg demandrace.Confi
 	return nil
 }
 
-func comparePolicies(out io.Writer, p *demandrace.Program, cfg demandrace.Config, workers int, verbose, metrics bool) error {
+func comparePolicies(out io.Writer, p *demandrace.Program, cfg demandrace.Config, verbose, metrics bool) error {
 	kinds := []demandrace.Policy{
 		demand.Off, demand.SyncOnly, demand.Sampling, demand.PageDemand, demand.WatchDemand,
 		demand.HITMDemand, demand.Hybrid, demand.Continuous,
@@ -784,7 +785,7 @@ func comparePolicies(out io.Writer, p *demandrace.Program, cfg demandrace.Config
 	if metrics {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	reps, err := demandrace.RunPoliciesParallel(p, cfg, workers, kinds...)
+	reps, err := demandrace.RunPolicies(p, cfg, kinds...)
 	if err != nil {
 		return err
 	}

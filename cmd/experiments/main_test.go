@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -84,6 +87,34 @@ func TestQuickSmokeMode(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("quick output missing %s", want)
 		}
+	}
+}
+
+// TestQuickSuiteMatchesStoredHash pins the -quick suite's stdout to the
+// hash the benchmark harness verifies every pass against, so a change
+// that moves any table fails here before it reaches the benchmark. The
+// full suite's hash is checked the same way by the CI determinism job.
+func TestQuickSuiteMatchesStoredHash(t *testing.T) {
+	sums, err := os.ReadFile("../../bench/testdata/suite.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, line := range strings.Split(string(sums), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[1] == "quick" {
+			want = f[0]
+		}
+	}
+	if want == "" {
+		t.Fatal("suite.sha256 has no quick hash")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-quick", "-workers", "1"}, &buf, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("-quick -workers 1 stdout hashes to %s, want %s", got, want)
 	}
 }
 

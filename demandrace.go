@@ -172,18 +172,11 @@ func DefaultConfig() Config { return runner.DefaultConfig() }
 // identical reports.
 func Run(p *Program, cfg Config) (*Report, error) { return runner.Run(p, cfg) }
 
-// RunPolicies runs p once per policy under otherwise identical
-// configuration — on the identical interleaving — and returns the reports
-// in order.
+// RunPolicies executes p once and analyzes that one interleaving under
+// each policy, with cfg otherwise unchanged. The reports come back in
+// policy order, each equal to Run(p, cfg.WithPolicy(policy)).
 func RunPolicies(p *Program, cfg Config, policies ...Policy) ([]*Report, error) {
 	return runner.RunPolicies(p, cfg, policies...)
-}
-
-// RunPoliciesParallel is RunPolicies fanned out across workers goroutines
-// (0 = one per CPU). Runs are pure, so the reports — still in policy
-// order — are identical to the serial ones.
-func RunPoliciesParallel(p *Program, cfg Config, workers int, policies ...Policy) ([]*Report, error) {
-	return runner.RunPoliciesParallel(p, cfg, workers, policies...)
 }
 
 // Exploration aggregates a program's race behavior across many seeded

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"demandrace/internal/mem"
-	"demandrace/internal/obs"
 )
 
 // State is a MESI line state.
@@ -219,8 +218,6 @@ type Result struct {
 	SrcCore int
 	// Latency is the modeled access latency in cycles.
 	Latency uint64
-	// Events lists the coherence events raised, in order.
-	Events []Event
 }
 
 // Latencies in cycles for the simple timing model. These feed the cost
@@ -295,12 +292,9 @@ type Hierarchy struct {
 	tick    uint64
 	stats   Stats
 	perCore []CoreStats
-	// sink receives every coherence event; nil means events are only
-	// returned in Results. The PMU installs itself here.
+	// sink receives every coherence event in the order it is raised; nil
+	// discards them. The runner installs its PMU fan-out here.
 	sink func(Event)
-	// trace records PMU-relevant coherence events (HITM, invalidation,
-	// writeback) as cycle-timestamped telemetry; nil disables recording.
-	trace *obs.Tracer
 }
 
 // New constructs a hierarchy. It panics on an invalid configuration, since
@@ -329,9 +323,6 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // SetEventSink installs fn to observe every coherence event as it happens.
 func (h *Hierarchy) SetEventSink(fn func(Event)) { h.sink = fn }
 
-// SetTracer installs the telemetry tracer (nil disables tracing).
-func (h *Hierarchy) SetTracer(t *obs.Tracer) { h.trace = t }
-
 // Stats returns a snapshot of the counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
@@ -347,24 +338,9 @@ func (h *Hierarchy) setIndex(l mem.Line) int {
 	return int(uint64(l) % uint64(h.cfg.L1Sets))
 }
 
-func (h *Hierarchy) emit(ev Event, res *Result) {
-	res.Events = append(res.Events, ev)
+func (h *Hierarchy) emit(ev Event) {
 	if h.sink != nil {
 		h.sink(ev)
-	}
-	if h.trace != nil {
-		var kind obs.Kind
-		switch ev.Kind {
-		case EvHITM:
-			kind = obs.KindHITM
-		case EvInvalidation:
-			kind = obs.KindInvalidation
-		case EvWriteback:
-			kind = obs.KindWriteback
-		default:
-			return
-		}
-		h.trace.Emit(kind, -1, int(ev.Ctx), uint64(ev.Line), int64(ev.Src), "")
 	}
 }
 
@@ -380,8 +356,8 @@ func (h *Hierarchy) lookup(core int, l mem.Line) *way {
 }
 
 // install places line with state into core's L1, evicting LRU if needed.
-// It returns the eviction event (writeback) if a dirty line was displaced.
-func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context, res *Result) {
+// Displacing a dirty line emits a writeback event.
+func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context) {
 	idx := h.setIndex(l)
 	set := h.cores[core].sets[idx]
 	// Reuse an invalid way if present.
@@ -405,12 +381,12 @@ func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context, res *Re
 	h.stats.Evictions++
 	if set[victim].state == Modified || set[victim].state == Owned {
 		h.stats.Writebacks++
-		h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: set[victim].line}, res)
+		h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: set[victim].line})
 		if h.llc != nil {
 			// The dirty line lands in the shared LLC; later consumers get
 			// an ordinary LLC hit with no HITM — the blind spot persists
 			// even though the data never reached memory.
-			h.llcWriteback(set[victim].line, ctx, res)
+			h.llcWriteback(set[victim].line, ctx)
 		}
 	}
 	set[victim] = way{line: l, state: st, lru: h.tick}
@@ -462,7 +438,7 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 		case Shared, Owned:
 			// Upgrade S/O→M: invalidate peers. Counted as a hit (data is
 			// local) but raises invalidations.
-			h.invalidatePeers(core, l, ctx, &res)
+			h.invalidatePeers(core, l, ctx)
 			w.state = Modified
 			h.stats.L1Hits++
 			h.perCore[core].Hits++
@@ -476,7 +452,7 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 	h.stats.L1Misses++
 	h.perCore[core].Misses++
 	if h.cfg.NextLinePrefetch {
-		defer h.prefetch(core, l+1, ctx, &res)
+		defer h.prefetch(core, l+1, ctx)
 	}
 	srcCore, srcState := h.findPeer(core, l)
 	switch {
@@ -494,12 +470,12 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 		res.Latency = LatPeerCache
 		h.perCore[core].HITMIn++
 		h.perCore[srcCore].HITMOut++
-		h.emit(Event{Kind: EvHITM, Ctx: ctx, Src: srcCore, Line: l, Write: write}, &res)
+		h.emit(Event{Kind: EvHITM, Ctx: ctx, Src: srcCore, Line: l, Write: write})
 		if write {
 			// RFO: every peer copy is invalidated, we take M. With an
 			// Owned supplier its sharers must drop too.
-			h.invalidatePeers(core, l, ctx, &res)
-			h.install(core, l, Modified, ctx, &res)
+			h.invalidatePeers(core, l, ctx)
+			h.install(core, l, Modified, ctx)
 		} else if h.cfg.Protocol == MOESI {
 			// MOESI read: the owner keeps the dirty data (M→O, or stays
 			// O) and remains responsible for it — no writeback, and the
@@ -507,27 +483,27 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 			if srcState == Modified {
 				h.demote(srcCore, l, Owned)
 			}
-			h.install(core, l, Shared, ctx, &res)
+			h.install(core, l, Shared, ctx)
 		} else {
 			// MESI read: remote demotes M→S (writeback-on-share), we take
 			// S. The dirty data also lands in the LLC.
 			h.demote(srcCore, l, Shared)
 			if h.llc != nil {
-				h.llcWriteback(l, ctx, &res)
+				h.llcWriteback(l, ctx)
 			}
-			h.install(core, l, Shared, ctx, &res)
+			h.install(core, l, Shared, ctx)
 		}
 	case srcState == Exclusive || srcState == Shared:
 		h.stats.PeerClean++
 		res.SrcCore = srcCore
 		res.Latency = LatPeerCache
-		h.emit(Event{Kind: EvHitShared, Ctx: ctx, Src: srcCore, Line: l, Write: write}, &res)
+		h.emit(Event{Kind: EvHitShared, Ctx: ctx, Src: srcCore, Line: l, Write: write})
 		if write {
-			h.invalidatePeers(core, l, ctx, &res)
-			h.install(core, l, Modified, ctx, &res)
+			h.invalidatePeers(core, l, ctx)
+			h.install(core, l, Modified, ctx)
 		} else {
 			h.demote(srcCore, l, Shared)
-			h.install(core, l, Shared, ctx, &res)
+			h.install(core, l, Shared, ctx)
 		}
 	default:
 		// No peer holds the line: try the shared LLC, then memory. A
@@ -541,9 +517,9 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 				h.stats.LLCHits++
 				res.Latency = LatLLC
 				if write {
-					h.install(core, l, Modified, ctx, &res)
+					h.install(core, l, Modified, ctx)
 				} else {
-					h.install(core, l, Exclusive, ctx, &res)
+					h.install(core, l, Exclusive, ctx)
 				}
 				return res
 			}
@@ -551,12 +527,12 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 		h.stats.MemoryFills++
 		res.Latency = LatMemory
 		if h.llc != nil {
-			h.llcInstall(l, false, ctx, &res)
+			h.llcInstall(l, false, ctx)
 		}
 		if write {
-			h.install(core, l, Modified, ctx, &res)
+			h.install(core, l, Modified, ctx)
 		} else {
-			h.install(core, l, Exclusive, ctx, &res)
+			h.install(core, l, Exclusive, ctx)
 		}
 	}
 	return res
@@ -567,7 +543,7 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 // even when the fill drains a peer's Modified line, because the transfer is
 // not attributable to a retired instruction. Side-effect events of making
 // room (L1/LLC evictions) still fire as usual.
-func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context, res *Result) {
+func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context) {
 	if h.lookup(core, l) != nil {
 		return
 	}
@@ -585,23 +561,23 @@ func (h *Hierarchy) prefetch(core int, l mem.Line, ctx Context, res *Result) {
 		} else {
 			h.demote(srcCore, l, Shared)
 			if h.llc != nil {
-				h.llcWriteback(l, ctx, res)
+				h.llcWriteback(l, ctx)
 			}
 		}
-		h.install(core, l, Shared, ctx, res)
+		h.install(core, l, Shared, ctx)
 	case srcState == Exclusive || srcState == Shared:
 		h.demote(srcCore, l, Shared)
-		h.install(core, l, Shared, ctx, res)
+		h.install(core, l, Shared, ctx)
 	default:
 		if h.llc != nil {
 			if s := h.llcLookup(l); s != nil {
 				h.llcTouch(s)
-				h.install(core, l, Exclusive, ctx, res)
+				h.install(core, l, Exclusive, ctx)
 				return
 			}
-			h.llcInstall(l, false, ctx, res)
+			h.llcInstall(l, false, ctx)
 		}
-		h.install(core, l, Exclusive, ctx, res)
+		h.install(core, l, Exclusive, ctx)
 	}
 }
 
@@ -626,7 +602,7 @@ func (h *Hierarchy) findPeer(core int, l mem.Line) (int, State) {
 }
 
 // invalidatePeers drops every peer copy of l, emitting invalidation events.
-func (h *Hierarchy) invalidatePeers(core int, l mem.Line, requester Context, res *Result) {
+func (h *Hierarchy) invalidatePeers(core int, l mem.Line, requester Context) {
 	for c := range h.cores {
 		if c == core {
 			continue
@@ -637,7 +613,7 @@ func (h *Hierarchy) invalidatePeers(core int, l mem.Line, requester Context, res
 			// it Modified — no memory writeback is needed.
 			h.dropLine(c, l)
 			h.stats.Invalidations++
-			h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: core, Line: l, Write: true}, res)
+			h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: core, Line: l, Write: true})
 		}
 	}
 }
@@ -737,7 +713,7 @@ func (h *Hierarchy) Flush() {
 				if set[i].state == Modified || set[i].state == Owned {
 					h.stats.Writebacks++
 					if h.llc != nil {
-						h.llcWriteback(set[i].line, h.anyCtxOf(c), nil)
+						h.llcWriteback(set[i].line, h.anyCtxOf(c))
 					}
 				}
 				set[i].state = Invalid

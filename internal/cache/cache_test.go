@@ -16,6 +16,14 @@ func addr(line, off uint64) mem.Addr {
 	return mem.Addr(line*mem.LineSize + off)
 }
 
+// recordEvents installs an event sink on h and returns the slice it
+// appends to; tests truncate it to scope the capture to one access.
+func recordEvents(h *Hierarchy) *[]Event {
+	evs := new([]Event)
+	h.SetEventSink(func(ev Event) { *evs = append(*evs, ev) })
+	return evs
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Cores: 0, SMT: 1, L1Sets: 64, L1Ways: 8},
@@ -69,10 +77,12 @@ func TestLoadHitAfterLoad(t *testing.T) {
 
 func TestSilentUpgradeEtoM(t *testing.T) {
 	h := newTest(t, DefaultConfig())
+	evs := recordEvents(h)
 	h.Access(0, addr(1, 0), false) // E
+	*evs = (*evs)[:0]
 	res := h.Access(0, addr(1, 0), true)
-	if !res.HitL1 || len(res.Events) != 0 {
-		t.Errorf("E→M upgrade should be silent, got %+v", res)
+	if !res.HitL1 || len(*evs) != 0 {
+		t.Errorf("E→M upgrade should be silent, got %+v with events %+v", res, *evs)
 	}
 	if st := h.StateOf(0, mem.LineOf(addr(1, 0))); st != Modified {
 		t.Errorf("state = %v, want M", st)
@@ -206,14 +216,16 @@ func TestSMTSharingInvisible(t *testing.T) {
 
 func TestInvalidationOnUpgrade(t *testing.T) {
 	h := newTest(t, DefaultConfig())
+	evs := recordEvents(h)
 	h.Access(0, addr(5, 0), false) // core0: E
 	h.Access(1, addr(5, 0), false) // both S
+	*evs = (*evs)[:0]
 	res := h.Access(0, addr(5, 0), true)
 	if !res.HitL1 {
 		t.Errorf("S→M upgrade should hit locally, got %+v", res)
 	}
 	var sawInv bool
-	for _, ev := range res.Events {
+	for _, ev := range *evs {
 		if ev.Kind == EvInvalidation {
 			sawInv = true
 		}

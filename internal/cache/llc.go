@@ -53,7 +53,7 @@ func (h *Hierarchy) llcLookup(l mem.Line) *llcLine {
 // llcInstall places line into the LLC, evicting an LRU victim if the set is
 // full. Eviction enforces inclusion: every L1 copy of the victim is
 // dropped, recalling dirty data, and dirty victims write back to memory.
-func (h *Hierarchy) llcInstall(l mem.Line, dirty bool, ctx Context, res *Result) {
+func (h *Hierarchy) llcInstall(l mem.Line, dirty bool, ctx Context) {
 	idx := h.llcSetIndex(l)
 	set := h.llc.sets[idx]
 	for i := range set {
@@ -72,13 +72,13 @@ func (h *Hierarchy) llcInstall(l mem.Line, dirty bool, ctx Context, res *Result)
 			victim = i
 		}
 	}
-	h.evictLLCLine(&set[victim], ctx, res)
+	h.evictLLCLine(&set[victim], ctx)
 	set[victim] = llcLine{line: l, valid: true, dirty: dirty, lru: h.tick}
 }
 
 // evictLLCLine removes one LLC line: back-invalidates all L1 copies
 // (recalling Modified data), and writes dirty data back to memory.
-func (h *Hierarchy) evictLLCLine(v *llcLine, ctx Context, res *Result) {
+func (h *Hierarchy) evictLLCLine(v *llcLine, ctx Context) {
 	h.stats.L2Evictions++
 	dirty := v.dirty
 	for c := range h.cores {
@@ -88,16 +88,12 @@ func (h *Hierarchy) evictLLCLine(v *llcLine, ctx Context, res *Result) {
 			}
 			w.state = Invalid
 			h.stats.Invalidations++
-			if res != nil {
-				h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: -1, Line: v.line, Write: false}, res)
-			}
+			h.emit(Event{Kind: EvInvalidation, Ctx: h.anyCtxOf(c), Src: -1, Line: v.line, Write: false})
 		}
 	}
 	if dirty {
 		h.stats.L2Writebacks++
-		if res != nil {
-			h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: v.line}, res)
-		}
+		h.emit(Event{Kind: EvWriteback, Ctx: ctx, Src: -1, Line: v.line})
 	}
 	v.valid = false
 }
@@ -108,12 +104,12 @@ func (h *Hierarchy) llcTouch(l *llcLine) { l.lru = h.tick }
 // llcWriteback absorbs a dirty line evicted from an L1. Inclusion
 // guarantees the line is present; a defensive install covers the
 // LLC-disabled-mid-run case that cannot happen in practice.
-func (h *Hierarchy) llcWriteback(l mem.Line, ctx Context, res *Result) {
+func (h *Hierarchy) llcWriteback(l mem.Line, ctx Context) {
 	if s := h.llcLookup(l); s != nil {
 		s.dirty = true
 		return
 	}
-	h.llcInstall(l, true, ctx, res)
+	h.llcInstall(l, true, ctx)
 }
 
 // checkInclusion verifies that every valid L1 line is present in the LLC.

@@ -247,8 +247,9 @@ type Fig6Result struct {
 	Rows []Fig6Row
 }
 
-// Fig6 sweeps policies and demand scopes on representative kernels; the
-// (kernel × policy) grid runs as one fan-out.
+// Fig6 sweeps policies and demand scopes on representative kernels. Each
+// kernel is one execution analyzed under every policy at once; the kernels
+// fan out.
 func Fig6(o Options) (*Fig6Result, error) {
 	o = o.normalized()
 	kernels := []string{"histogram", "streamcluster", "racy_mostly_clean"}
@@ -274,30 +275,41 @@ func Fig6(o Options) (*Fig6Result, error) {
 		{"hybrid/global", demand.Hybrid, demand.ScopeGlobal, false, false},
 		{"continuous", demand.Continuous, demand.ScopeGlobal, false, false},
 	}
-	rows, err := fanOut(o, len(kernels)*len(policies), func(i int) (Fig6Row, error) {
-		name, pol := kernels[i/len(policies)], policies[i%len(policies)]
-		p, err := buildProgram(name, o)
+	perKernel, err := fanOut(o, len(kernels), func(ki int) ([]Fig6Row, error) {
+		p, err := buildProgram(kernels[ki], o)
 		if err != nil {
-			return Fig6Row{}, err
+			return nil, err
 		}
-		cfg := runner.DefaultConfig().WithPolicy(pol.kind)
-		cfg.Demand.Scope = pol.scope
-		cfg.Demand.Adaptive = pol.adaptive
-		cfg.Demand.SyncTrigger = pol.syncTrig
-		r, err := runner.Run(p, cfg)
+		cfgs := make([]runner.Config, len(policies))
+		for i, pol := range policies {
+			cfg := runner.DefaultConfig().WithPolicy(pol.kind)
+			cfg.Demand.Scope = pol.scope
+			cfg.Demand.Adaptive = pol.adaptive
+			cfg.Demand.SyncTrigger = pol.syncTrig
+			cfgs[i] = cfg
+		}
+		reps, err := runner.RunConfigs(p, cfgs...)
 		if err != nil {
-			return Fig6Row{}, err
+			return nil, err
 		}
-		return Fig6Row{
-			Kernel:   name,
-			Policy:   pol.label,
-			Slowdown: r.Slowdown,
-			Analyzed: r.Demand.AnalyzedFraction(),
-			Races:    len(r.RacyAddrs()),
-		}, nil
+		rows := make([]Fig6Row, len(policies))
+		for i, r := range reps {
+			rows[i] = Fig6Row{
+				Kernel:   kernels[ki],
+				Policy:   policies[i].label,
+				Slowdown: r.Slowdown,
+				Analyzed: r.Demand.AnalyzedFraction(),
+				Races:    len(r.RacyAddrs()),
+			}
+		}
+		return rows, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	var rows []Fig6Row
+	for _, kr := range perKernel {
+		rows = append(rows, kr...)
 	}
 	return &Fig6Result{Rows: rows}, nil
 }
@@ -331,9 +343,10 @@ type Tab4Result struct {
 	Seeds int
 }
 
-// Tab4 sweeps SAV × skid on injected races over a clean host kernel. The
-// (SAV, skid, seed) grid is flattened; per-row means are summed in seed
-// order so the floating-point totals match a serial loop exactly.
+// Tab4 sweeps SAV × skid on injected races over a clean host kernel. Each
+// seed is one execution analyzed by every (SAV, skid) setting at once, and
+// the seeds fan out; per-row means are summed in seed order so the
+// floating-point totals match a serial loop exactly.
 func Tab4(o Options) (*Tab4Result, error) {
 	o = o.normalized()
 	seeds := o.quickSeeds(6)
@@ -349,41 +362,53 @@ func Tab4(o Options) (*Tab4Result, error) {
 		cont, dem  int
 		slow, intr float64
 	}
+	// One execution per seed: a hitm-demand lane per (SAV, skid) row, plus
+	// one continuous lane. Continuous analysis never reads the PMU, so the
+	// PMU programming does not change its reports, and one lane serves as
+	// every row's reference.
 	nRows := len(savs) * len(skids)
-	cells, err := fanOut(o, nRows*seeds, func(i int) (sample, error) {
-		row, seed := i/seeds, i%seeds
-		sav := savs[row/len(skids)]
-		skid := skids[row%len(skids)]
+	cells, err := fanOut(o, seeds, func(seed int) ([]sample, error) {
 		p, err := buildProgram(host, o)
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
 		injected, injs, err := racefuzz.Inject(p, racefuzz.Config{
 			Seed: int64(seed), Count: perSeed, Repeats: 6,
 		})
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
-		cfg := runner.DefaultConfig()
-		cfg.PMU.SampleAfter = sav
-		cfg.PMU.Skid = skid
-		reps, err := runner.RunPolicies(injected, cfg,
-			demand.Continuous, demand.HITMDemand)
+		cfgs := make([]runner.Config, 0, nRows+1)
+		for row := 0; row < nRows; row++ {
+			cfg := runner.DefaultConfig().WithPolicy(demand.HITMDemand)
+			cfg.PMU.SampleAfter = savs[row/len(skids)]
+			cfg.PMU.Skid = skids[row%len(skids)]
+			cfgs = append(cfgs, cfg)
+		}
+		cfgs = append(cfgs, runner.DefaultConfig().WithPolicy(demand.Continuous))
+		reps, err := runner.RunConfigs(injected, cfgs...)
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
-		s := sample{slow: reps[1].Slowdown, intr: float64(reps[1].PMU.Delivered)}
-		contAddrs := racyAddrSet(reps[0])
-		demAddrs := racyAddrSet(reps[1])
+		contAddrs := racyAddrSet(reps[nRows])
+		contFound := 0
 		for _, in := range injs {
 			if contAddrs[in.Addr] {
-				s.cont++
-			}
-			if demAddrs[in.Addr] {
-				s.dem++
+				contFound++
 			}
 		}
-		return s, nil
+		out := make([]sample, nRows)
+		for row, r := range reps[:nRows] {
+			s := sample{cont: contFound, slow: r.Slowdown, intr: float64(r.PMU.Delivered)}
+			demAddrs := racyAddrSet(r)
+			for _, in := range injs {
+				if demAddrs[in.Addr] {
+					s.dem++
+				}
+			}
+			out[row] = s
+		}
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
@@ -394,7 +419,7 @@ func Tab4(o Options) (*Tab4Result, error) {
 		contFound, demFound := 0, 0
 		var slowSum, intrSum float64
 		for seed := 0; seed < seeds; seed++ {
-			s := cells[row*seeds+seed]
+			s := cells[seed][row]
 			contFound += s.cont
 			demFound += s.dem
 			slowSum += s.slow

@@ -32,9 +32,10 @@ type Tab5Result struct {
 	Seeds int
 }
 
-// Tab5 scores each policy on the same injected-race workloads. The
-// (policy × seed) grid is one fan-out; per-policy means are summed in seed
-// order for bit-stable floating-point totals.
+// Tab5 scores each policy on the same injected-race workloads. Each seed is
+// one execution analyzed by every policy at once, and the seeds fan out;
+// per-policy means are summed in seed order for bit-stable floating-point
+// totals.
 func Tab5(o Options) (*Tab5Result, error) {
 	o = o.normalized()
 	seeds := o.quickSeeds(8)
@@ -59,41 +60,47 @@ func Tab5(o Options) (*Tab5Result, error) {
 		contFound, found int
 		slow, analyzed   float64
 	}
-	cells, err := fanOut(o, len(policies)*seeds, func(i int) (sample, error) {
-		pol, seed := policies[i/seeds], i%seeds
+	// One execution per seed: every policy is a lane, plus a continuous
+	// oracle lane at the default configuration.
+	cells, err := fanOut(o, seeds, func(seed int) ([]sample, error) {
 		p, err := buildProgram(host, o)
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
 		injected, injs, err := racefuzz.Inject(p, racefuzz.Config{
 			Seed: int64(seed), Count: perSeed, Repeats: 4,
 		})
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
-		cfg := runner.DefaultConfig()
-		cfg.Demand = pol.cfg
-		cfg.Demand.Seed = int64(seed)
-		r, err := runner.Run(injected, cfg)
+		cfgs := make([]runner.Config, 0, len(policies)+1)
+		for _, pol := range policies {
+			cfg := runner.DefaultConfig()
+			cfg.Demand = pol.cfg
+			cfg.Demand.Seed = int64(seed)
+			cfgs = append(cfgs, cfg)
+		}
+		cfgs = append(cfgs, runner.DefaultConfig().WithPolicy(demand.Continuous))
+		reps, err := runner.RunConfigs(injected, cfgs...)
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
-		oracle, err := runner.Run(injected, runner.DefaultConfig().WithPolicy(demand.Continuous))
-		if err != nil {
-			return sample{}, err
-		}
-		s := sample{slow: r.Slowdown, analyzed: r.Demand.AnalyzedFraction()}
-		oracleAddrs := racyAddrSet(oracle)
-		gotAddrs := racyAddrSet(r)
-		for _, in := range injs {
-			if oracleAddrs[in.Addr] {
-				s.contFound++
-				if gotAddrs[in.Addr] {
-					s.found++
+		oracleAddrs := racyAddrSet(reps[len(policies)])
+		out := make([]sample, len(policies))
+		for pi, r := range reps[:len(policies)] {
+			s := sample{slow: r.Slowdown, analyzed: r.Demand.AnalyzedFraction()}
+			gotAddrs := racyAddrSet(r)
+			for _, in := range injs {
+				if oracleAddrs[in.Addr] {
+					s.contFound++
+					if gotAddrs[in.Addr] {
+						s.found++
+					}
 				}
 			}
+			out[pi] = s
 		}
-		return s, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
@@ -103,7 +110,7 @@ func Tab5(o Options) (*Tab5Result, error) {
 		var contFound, found int
 		var slowSum, analyzedSum float64
 		for seed := 0; seed < seeds; seed++ {
-			s := cells[pi*seeds+seed]
+			s := cells[seed][pi]
 			contFound += s.contFound
 			found += s.found
 			slowSum += s.slow

@@ -3,24 +3,38 @@
 // race detectors → cost model, and collects everything the experiments
 // report into a single Report.
 //
-// A Run is a pure function of (program, config): the scheduler is
+// A run is one shared execution driving one or more policy lanes. The
+// execution is everything upstream of the PMU: the validated program, the
+// scheduler and the cache hierarchy. A lane is everything downstream: PMU,
+// demand controller, detectors, cost accumulator, telemetry and profiler
+// clocks, and the Report. No scheduling or cache decision reads lane state —
+// the scheduler only delivers ops, and every data access reaches the
+// hierarchy whatever the policy decided — so the lanes run in lockstep: one
+// scheduler pass and one hierarchy access per op, with each coherence event
+// fanned out to every lane's PMU in the order it is raised. Run is the
+// one-lane case; RunPolicies and RunConfigs analyze one execution under
+// many policies at once, which is how the experiments compare policies on
+// the *identical* interleaving without re-simulating it.
+//
+// A run is a pure function of (program, config): the scheduler is
 // deterministic, the PMU's only nondeterminism is seeded, and the analysis
-// policy does not perturb the interleaving. Comparing two policies on the
-// same program therefore compares them on the *identical* execution, which
-// is the property that makes the accuracy experiments meaningful.
+// policy does not perturb the interleaving. Every lane's report is therefore
+// identical to the report of running its configuration alone.
 //
 // Purity also makes Run safe to call from many goroutines at once, on the
 // same or different programs: every piece of mutable state (caches, PMU,
 // detectors, accumulators) is built inside the call, and the Program is
-// never written after construction. RunPoliciesParallel and ExploreWorkers
-// exploit this through internal/parallel's bounded worker pool; their
-// results are merged in submission order, so they are drop-in replacements
-// for the serial loops with byte-identical output.
+// never written after construction. ExploreWorkers exploits this through
+// internal/parallel's bounded worker pool; its results are merged in seed
+// order, so it is a drop-in replacement for the serial loop with
+// byte-identical output.
 package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 
 	"demandrace/internal/cache"
 	"demandrace/internal/cost"
@@ -29,7 +43,6 @@ import (
 	"demandrace/internal/detector"
 	"demandrace/internal/lockset"
 	"demandrace/internal/obs"
-	"demandrace/internal/parallel"
 	"demandrace/internal/perf"
 	"demandrace/internal/prof"
 	"demandrace/internal/program"
@@ -38,7 +51,8 @@ import (
 	"demandrace/internal/vclock"
 )
 
-// Config assembles one run. Zero fields take defaults.
+// Config assembles one run. Zero fields take defaults. Cache and Sched
+// define the execution; every other field configures one policy lane.
 type Config struct {
 	// Cache sizes the simulated hierarchy (default cache.DefaultConfig).
 	Cache cache.Config
@@ -58,6 +72,7 @@ type Config struct {
 	// access stream.
 	Lockset bool
 	// Tracer, when non-nil, records every executed op for offline replay.
+	// Like Trace and Prof it belongs to one lane.
 	Tracer *trace.Recorder
 	// Deadlock additionally runs the lock-order (potential-deadlock)
 	// engine over the analyzed lock operations.
@@ -193,170 +208,425 @@ func (r *Report) String() string {
 		r.Program, r.Policy, r.Slowdown, len(r.Races), r.SharingFraction())
 }
 
-// executor is the sched.Executor gluing the pipeline together.
-type executor struct {
+// execution is the half of a run every lane shares: the program, the
+// scheduler pass and the cache hierarchy. It is the sched.Executor, and it
+// drives its lanes in lockstep.
+type execution struct {
+	hier  *cache.Hierarchy
+	lanes []*lane
+	// memOps, sharedHITM and sharedPeer describe the executed data accesses
+	// and how they were served; they are the same under every policy.
+	memOps, sharedHITM, sharedPeer uint64
+}
+
+// lane is one policy's analysis of the shared execution.
+type lane struct {
 	cfg   Config
 	prog  *program.Program
-	hier  *cache.Hierarchy
 	pmu   *perf.PMU
 	ctl   *demand.Controller
 	det   *detector.Detector
 	ls    *lockset.Detector
 	dl    *deadlock.Detector
 	acc   *cost.Accumulator
-	rep   *Report
 	track bool // policy != Off: detector active at all
+	// analyzed is the instrumentation decision for the data access in
+	// flight, taken before the hierarchy sees the access.
+	analyzed bool
 }
 
-func (e *executor) Exec(t vclock.TID, ctx cache.Context, op program.Op) {
+func (e *execution) Exec(t vclock.TID, ctx cache.Context, op program.Op) {
 	switch op.Kind {
 	case program.OpLoad, program.OpStore, program.OpAtomicLoad, program.OpAtomicStore:
 		// The instrumentation decision reflects the thread's mode at the
 		// op's start; the access's own HITM (if any) can only influence
 		// later ops, as on real hardware.
-		analyzed := e.ctl.ShouldAnalyze(t, op)
-		res := e.hier.Access(ctx, op.Addr, op.Kind.IsWrite())
-		e.pmu.Retire(ctx)
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.RecordOp(t, ctx, op, res.HITM, analyzed && e.track)
+		for _, l := range e.lanes {
+			l.analyzed = l.ctl.ShouldAnalyze(t, op)
 		}
-		e.rep.MemOps++
+		res := e.hier.Access(ctx, op.Addr, op.Kind.IsWrite())
+		e.memOps++
 		if res.HITM {
-			e.rep.SharedHITM++
-			// Instrumented code observes its own sharing; the controller
-			// uses it to keep analysis alive while the PMU is disarmed.
-			e.ctl.NoteSharing(t)
+			e.sharedHITM++
 		}
 		if res.SrcCore >= 0 {
-			e.rep.SharedPeer++
+			e.sharedPeer++
 		}
-		switch op.Kind {
-		case program.OpLoad:
-			e.acc.Mem(res.Latency, analyzed)
-			if analyzed && e.track {
-				e.det.OnRead(t, op.Addr)
-				if e.ls != nil {
-					e.ls.OnRead(t, op.Addr)
-				}
-			}
-		case program.OpStore:
-			e.acc.Mem(res.Latency, analyzed)
-			if analyzed && e.track {
-				e.det.OnWrite(t, op.Addr)
-				if e.ls != nil {
-					e.ls.OnWrite(t, op.Addr)
-				}
-			}
-		case program.OpAtomicLoad:
-			// Atomics are synchronization: the access itself runs on the
-			// hardware (and can HITM) while the detector takes the
-			// happens-before edge.
-			e.acc.Mem(res.Latency, false)
-			e.acc.Sync(analyzed)
-			if analyzed && e.track {
-				e.det.OnAtomicLoad(t, op.Addr)
-			}
-		case program.OpAtomicStore:
-			e.acc.Mem(res.Latency, false)
-			e.acc.Sync(analyzed)
-			if analyzed && e.track {
-				e.det.OnAtomicStore(t, op.Addr)
+		for _, l := range e.lanes {
+			l.access(t, ctx, op, res)
+		}
+	default:
+		for _, l := range e.lanes {
+			l.exec(t, ctx, op)
+		}
+	}
+}
+
+func (e *execution) BarrierRelease(id program.SyncID, parties []vclock.TID) {
+	for _, l := range e.lanes {
+		l.barrierRelease(id, parties)
+	}
+}
+
+// access finishes one data access for the lane once the hierarchy has
+// served it (and raised its coherence events into the lane's PMU).
+func (l *lane) access(t vclock.TID, ctx cache.Context, op program.Op, res cache.Result) {
+	analyzed := l.analyzed
+	l.pmu.Retire(ctx)
+	if l.cfg.Tracer != nil {
+		l.cfg.Tracer.RecordOp(t, ctx, op, res.HITM, analyzed && l.track)
+	}
+	if res.HITM {
+		// Instrumented code observes its own sharing; the controller
+		// uses it to keep analysis alive while the PMU is disarmed.
+		l.ctl.NoteSharing(t)
+	}
+	switch op.Kind {
+	case program.OpLoad:
+		l.acc.Mem(res.Latency, analyzed)
+		if analyzed && l.track {
+			l.det.OnRead(t, op.Addr)
+			if l.ls != nil {
+				l.ls.OnRead(t, op.Addr)
 			}
 		}
+	case program.OpStore:
+		l.acc.Mem(res.Latency, analyzed)
+		if analyzed && l.track {
+			l.det.OnWrite(t, op.Addr)
+			if l.ls != nil {
+				l.ls.OnWrite(t, op.Addr)
+			}
+		}
+	case program.OpAtomicLoad:
+		// Atomics are synchronization: the access itself runs on the
+		// hardware (and can HITM) while the detector takes the
+		// happens-before edge.
+		l.acc.Mem(res.Latency, false)
+		l.acc.Sync(analyzed)
+		if analyzed && l.track {
+			l.det.OnAtomicLoad(t, op.Addr)
+		}
+	case program.OpAtomicStore:
+		l.acc.Mem(res.Latency, false)
+		l.acc.Sync(analyzed)
+		if analyzed && l.track {
+			l.det.OnAtomicStore(t, op.Addr)
+		}
+	}
+	l.tick(t)
+}
+
+// exec runs one op that does not touch the cache hierarchy.
+func (l *lane) exec(t vclock.TID, ctx cache.Context, op program.Op) {
+	switch op.Kind {
 	case program.OpLock:
-		analyzed := e.ctl.ShouldAnalyze(t, op)
-		e.acc.Sync(analyzed)
-		e.pmu.Retire(ctx)
-		e.traceSync(t, ctx, op, analyzed)
-		if analyzed && e.track {
-			e.det.OnLock(t, op.Sync)
-			if e.ls != nil {
-				e.ls.OnLock(t, op.Sync)
+		analyzed := l.syncOp(t, ctx, op)
+		if analyzed && l.track {
+			l.det.OnLock(t, op.Sync)
+			if l.ls != nil {
+				l.ls.OnLock(t, op.Sync)
 			}
-			if e.dl != nil {
-				e.dl.OnLock(t, op.Sync)
+			if l.dl != nil {
+				l.dl.OnLock(t, op.Sync)
 			}
 		}
 	case program.OpUnlock:
-		analyzed := e.ctl.ShouldAnalyze(t, op)
-		e.acc.Sync(analyzed)
-		e.pmu.Retire(ctx)
-		e.traceSync(t, ctx, op, analyzed)
-		if analyzed && e.track {
-			e.det.OnUnlock(t, op.Sync)
-			if e.ls != nil {
-				e.ls.OnUnlock(t, op.Sync)
+		analyzed := l.syncOp(t, ctx, op)
+		if analyzed && l.track {
+			l.det.OnUnlock(t, op.Sync)
+			if l.ls != nil {
+				l.ls.OnUnlock(t, op.Sync)
 			}
-			if e.dl != nil {
-				e.dl.OnUnlock(t, op.Sync)
+			if l.dl != nil {
+				l.dl.OnUnlock(t, op.Sync)
 			}
 		}
 	case program.OpSignal:
-		analyzed := e.ctl.ShouldAnalyze(t, op)
-		e.acc.Sync(analyzed)
-		e.pmu.Retire(ctx)
-		e.traceSync(t, ctx, op, analyzed)
-		if analyzed && e.track {
-			e.det.OnSignal(t, op.Sync)
+		if l.syncOp(t, ctx, op) && l.track {
+			l.det.OnSignal(t, op.Sync)
 		}
 	case program.OpWait:
-		analyzed := e.ctl.ShouldAnalyze(t, op)
-		e.acc.Sync(analyzed)
-		e.pmu.Retire(ctx)
-		e.traceSync(t, ctx, op, analyzed)
-		if analyzed && e.track {
-			e.det.OnWait(t, op.Sync)
+		if l.syncOp(t, ctx, op) && l.track {
+			l.det.OnWait(t, op.Sync)
 		}
 	case program.OpCompute:
-		e.acc.Compute(op.N)
-		e.pmu.Retire(ctx)
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.RecordOp(t, ctx, op, false, false)
+		l.acc.Compute(op.N)
+		l.pmu.Retire(ctx)
+		if l.cfg.Tracer != nil {
+			l.cfg.Tracer.RecordOp(t, ctx, op, false, false)
 		}
 	case program.OpMark:
 		// Region annotations are free metadata: they retag the thread for
 		// subsequent race reports under every policy that tracks at all.
-		label := e.prog.LabelOf(op)
-		if e.track {
-			e.det.SetRegion(t, label)
+		label := l.prog.LabelOf(op)
+		if l.track {
+			l.det.SetRegion(t, label)
 		}
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.RecordMark(t, ctx, label)
+		if l.cfg.Tracer != nil {
+			l.cfg.Tracer.RecordMark(t, ctx, label)
 		}
-		e.cfg.Prof.Mark(int(t), label)
+		l.cfg.Prof.Mark(int(t), label)
 	}
-	if e.cfg.Prof != nil {
-		// The op above advanced the tool clock; attribute any sampling
-		// boundaries it crossed to the thread that was executing.
-		e.cfg.Prof.Tick(int(t), e.ctl.Analyzing(t))
+	l.tick(t)
+}
+
+// syncOp charges and records one lock, unlock, signal or wait, and returns
+// whether the lane instruments it.
+func (l *lane) syncOp(t vclock.TID, ctx cache.Context, op program.Op) bool {
+	analyzed := l.ctl.ShouldAnalyze(t, op)
+	l.acc.Sync(analyzed)
+	l.pmu.Retire(ctx)
+	if l.cfg.Tracer != nil {
+		l.cfg.Tracer.RecordOp(t, ctx, op, false, analyzed && l.track)
+	}
+	return analyzed
+}
+
+// tick attributes any profiler sampling boundaries the op just crossed on
+// the lane's tool clock to the thread that was executing.
+func (l *lane) tick(t vclock.TID) {
+	if l.cfg.Prof != nil {
+		l.cfg.Prof.Tick(int(t), l.ctl.Analyzing(t))
 	}
 }
 
-func (e *executor) traceSync(t vclock.TID, ctx cache.Context, op program.Op, analyzed bool) {
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.RecordOp(t, ctx, op, false, analyzed && e.track)
-	}
-}
-
-func (e *executor) BarrierRelease(id program.SyncID, parties []vclock.TID) {
+func (l *lane) barrierRelease(id program.SyncID, parties []vclock.TID) {
 	analyzedAny := false
 	for _, p := range parties {
-		if e.ctl.ShouldAnalyze(p, program.Op{Kind: program.OpBarrier, Sync: id}) {
+		if l.ctl.ShouldAnalyze(p, program.Op{Kind: program.OpBarrier, Sync: id}) {
 			analyzedAny = true
-			e.acc.Sync(true)
+			l.acc.Sync(true)
 		} else {
-			e.acc.Sync(false)
+			l.acc.Sync(false)
 		}
-		if e.cfg.Prof != nil {
-			e.cfg.Prof.Tick(int(p), e.ctl.Analyzing(p))
+		l.tick(p)
+	}
+	if l.cfg.Tracer != nil {
+		l.cfg.Tracer.RecordBarrier(id, parties, analyzedAny && l.track)
+	}
+	if analyzedAny && l.track {
+		l.det.OnBarrierRelease(parties)
+	}
+}
+
+// observe is the lane's coherence-event sink: the PMU counts the event
+// first, then the telemetry trace records the PMU-relevant kinds (HITM,
+// invalidation, writeback) against the lane's tool clock.
+func (l *lane) observe(ev cache.Event) {
+	l.pmu.Observe(ev)
+	if l.cfg.Trace == nil {
+		return
+	}
+	var kind obs.Kind
+	switch ev.Kind {
+	case cache.EvHITM:
+		kind = obs.KindHITM
+	case cache.EvInvalidation:
+		kind = obs.KindInvalidation
+	case cache.EvWriteback:
+		kind = obs.KindWriteback
+	default:
+		return
+	}
+	l.cfg.Trace.Emit(kind, -1, int(ev.Ctx), uint64(ev.Line), int64(ev.Src), "")
+}
+
+// newLane builds one policy's pipeline over the shared scheduler and
+// hierarchy. cfg must be normalized.
+func newLane(p *program.Program, cfg Config, sc *sched.Scheduler, hier *cache.Hierarchy) *lane {
+	l := &lane{
+		cfg:   cfg,
+		prog:  p,
+		pmu:   perf.New(cfg.PMU),
+		ctl:   demand.New(cfg.Demand, p.NumThreads(), sc.CtxOf, hier.CoreOf),
+		det:   detector.ForProgram(p, cfg.Detector),
+		acc:   cost.NewAccumulator(cfg.Cost),
+		track: cfg.Demand.Kind != demand.Off,
+	}
+	if cfg.Trace != nil {
+		// Telemetry timestamps are the lane's tool clock: simulated cycles
+		// under the attached tool, advancing deterministically with the run.
+		cfg.Trace.SetClock(l.acc.ToolCycles)
+		l.pmu.SetTracer(cfg.Trace)
+		l.ctl.SetTracer(cfg.Trace)
+		l.det.SetTracer(cfg.Trace)
+	}
+	if cfg.Prof != nil {
+		// The profiler samples against the same tool clock the telemetry
+		// uses, so profiles inherit the determinism contract. It also shares
+		// the detector's region-ID table: one label namespace per lane, and
+		// OpMark interns each label once for both consumers.
+		cfg.Prof.SetClock(l.acc.ToolCycles)
+		cfg.Prof.ShareSites(l.det.RegionTable())
+		cfg.Prof.SetThreads(p.NumThreads())
+	}
+	if cfg.Lockset {
+		l.ls = lockset.New(p.NumThreads())
+	}
+	if cfg.Deadlock {
+		l.dl = deadlock.New(p.NumThreads())
+	}
+
+	demandPolicy := cfg.Demand.Kind.Demand()
+	l.pmu.SetHandler(func(s perf.Sample) {
+		if demandPolicy {
+			l.acc.Interrupt()
+		}
+		l.ctl.OnSample(s)
+	})
+	if demandPolicy {
+		// Mirror the paper: the HITM counter is disarmed while a context's
+		// threads are all in analysis mode (the signal is redundant there)
+		// and re-armed when a thread decays back to fast execution.
+		l.ctl.SetCounterControl(l.pmu.SetEnabled)
+	}
+	return l
+}
+
+// report settles the lane's end-of-run costs and assembles its Report.
+func (l *lane) report(e *execution, sc *sched.Scheduler) *Report {
+	l.pmu.DrainAll()
+
+	cfg, acc := l.cfg, l.acc
+	dst := l.ctl.Stats()
+	if cfg.Demand.Kind == demand.WatchDemand {
+		// Watchpoint arming writes a debug register instead of re-patching
+		// instrumentation; expiration is free.
+		acc.WatchArm(dst.EnableTransitions)
+	} else {
+		acc.ModeSwitch(dst.EnableTransitions + dst.DisableTransitions)
+	}
+	if pt := l.ctl.PageTracker(); pt != nil {
+		acc.PageFaults(pt.Stats().Faults)
+		acc.ProtSweeps(pt.Stats().Sweeps)
+	}
+
+	rep := &Report{
+		Program:      l.prog.Name,
+		Policy:       cfg.Demand.Kind,
+		NativeCycles: acc.NativeCycles(),
+		ToolCycles:   acc.ToolCycles(),
+		Slowdown:     acc.Slowdown(),
+		Cost:         acc.Breakdown(),
+		Races:        l.det.Reports(),
+		MemOps:       e.memOps,
+		SharedHITM:   e.sharedHITM,
+		SharedPeer:   e.sharedPeer,
+		Cache:        e.hier.Stats(),
+		Cores:        e.hier.PerCoreStats(),
+		PMU:          l.pmu.Stats(),
+		Demand:       dst,
+		Threads:      l.ctl.Residency(),
+		Detector:     l.det.Stats(),
+		Steps:        sc.Steps(),
+	}
+	if l.ls != nil {
+		rep.LocksetReports = l.ls.Reports()
+	}
+	if l.dl != nil {
+		rep.DeadlockReports = l.dl.Reports()
+	}
+	if cfg.Trace != nil {
+		rep.Timeline = obs.ThreadSpans(cfg.Trace.Events(), acc.ToolCycles(),
+			l.prog.NumThreads(), cfg.Demand.Kind == demand.Continuous)
+	}
+	if cfg.Prof != nil {
+		rep.Profile = cfg.Prof.Snapshot(l.prog.Name)
+	}
+	publishMetrics(cfg.Metrics, rep)
+	return rep
+}
+
+// execute runs p once and analyzes it under every lane configuration,
+// returning one report per lane in order. The configurations must be
+// normalized and agree on Cache and Sched; the first one's drive the
+// execution.
+func execute(ctx context.Context, p *program.Program, cfgs []Config) ([]*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkObservers(cfgs); err != nil {
+		return nil, err
+	}
+	if len(cfgs) == 0 {
+		return []*Report{}, nil
+	}
+	sc, err := sched.New(p, cfgs[0].Sched)
+	if err != nil {
+		return nil, err
+	}
+	e := &execution{hier: cache.New(cfgs[0].Cache), lanes: make([]*lane, len(cfgs))}
+	for i, cfg := range cfgs {
+		e.lanes[i] = newLane(p, cfg, sc, e.hier)
+	}
+	if len(e.lanes) == 1 {
+		e.hier.SetEventSink(e.lanes[0].observe)
+	} else {
+		e.hier.SetEventSink(func(ev cache.Event) {
+			for _, l := range e.lanes {
+				l.observe(ev)
+			}
+		})
+	}
+
+	if err := sc.RunContext(ctx, e); err != nil {
+		return nil, err
+	}
+	reps := make([]*Report, len(e.lanes))
+	for i, l := range e.lanes {
+		reps[i] = l.report(e, sc)
+	}
+	return reps, nil
+}
+
+// checkObservers rejects lanes that share a Trace, Prof or Tracer: each
+// records one lane's clock-stamped history. A Metrics registry may be
+// shared, since its counters commute.
+func checkObservers(cfgs []Config) error {
+	if len(cfgs) < 2 {
+		return nil
+	}
+	traces := map[*obs.Tracer]bool{}
+	profs := map[*prof.Profiler]bool{}
+	recs := map[*trace.Recorder]bool{}
+	for i, c := range cfgs {
+		if claim(traces, c.Trace) || claim(profs, c.Prof) || claim(recs, c.Tracer) {
+			return fmt.Errorf("runner: lane %d shares a Trace, Prof or Tracer with an earlier lane", i)
 		}
 	}
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.RecordBarrier(id, parties, analyzedAny && e.track)
+	return nil
+}
+
+// claim marks p as taken and reports whether it already was; nil is never
+// taken.
+func claim[T any](taken map[*T]bool, p *T) bool {
+	if p == nil {
+		return false
 	}
-	if analyzedAny && e.track {
-		e.det.OnBarrierRelease(parties)
+	if taken[p] {
+		return true
 	}
+	taken[p] = true
+	return false
+}
+
+// sameExecution reports why b cannot share a's execution, if it cannot.
+// Both configurations must be normalized.
+func sameExecution(a, b Config) error {
+	if a.Cache != b.Cache {
+		return fmt.Errorf("cache %+v differs from %+v", b.Cache, a.Cache)
+	}
+	if a.Sched.CtxOf != nil || b.Sched.CtxOf != nil {
+		return errors.New("Sched.CtxOf placement functions cannot be compared across lanes")
+	}
+	if !reflect.DeepEqual(a.Sched, b.Sched) {
+		return fmt.Errorf("sched %+v differs from %+v", b.Sched, a.Sched)
+	}
+	return nil
 }
 
 // Run executes p under cfg and returns the full report.
@@ -371,142 +641,42 @@ func Run(p *program.Program, cfg Config) (*Report, error) {
 // errors.Is(err, ctx.Err()); no partial Report is produced, because every
 // statistic in a Report is defined over a completed execution.
 func RunContext(ctx context.Context, p *program.Program, cfg Config) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalized()
-
-	hier := cache.New(cfg.Cache)
-	pmu := perf.New(cfg.PMU)
-	hier.SetEventSink(pmu.Observe)
-
-	sc, err := sched.New(p, cfg.Sched)
+	reps, err := execute(ctx, p, []Config{cfg.normalized()})
 	if err != nil {
 		return nil, err
 	}
-	ctl := demand.New(cfg.Demand, p.NumThreads(), sc.CtxOf, hier.CoreOf)
-	det := detector.ForProgram(p, cfg.Detector)
-	acc := cost.NewAccumulator(cfg.Cost)
-
-	if cfg.Trace != nil {
-		// Telemetry timestamps are the tool clock: simulated cycles under
-		// the attached tool, advancing deterministically with the run.
-		cfg.Trace.SetClock(acc.ToolCycles)
-		hier.SetTracer(cfg.Trace)
-		pmu.SetTracer(cfg.Trace)
-		ctl.SetTracer(cfg.Trace)
-		det.SetTracer(cfg.Trace)
-	}
-	if cfg.Prof != nil {
-		// The profiler samples against the same tool clock the telemetry
-		// uses, so profiles inherit the determinism contract. It also shares
-		// the detector's region-ID table: one label namespace per run, and
-		// OpMark interns each label once for both consumers.
-		cfg.Prof.SetClock(acc.ToolCycles)
-		cfg.Prof.ShareSites(det.RegionTable())
-		cfg.Prof.SetThreads(p.NumThreads())
-	}
-
-	rep := &Report{Program: p.Name, Policy: cfg.Demand.Kind}
-	ex := &executor{
-		cfg: cfg, prog: p, hier: hier, pmu: pmu, ctl: ctl, det: det, acc: acc,
-		rep: rep, track: cfg.Demand.Kind != demand.Off,
-	}
-	if cfg.Lockset {
-		ex.ls = lockset.New(p.NumThreads())
-	}
-	if cfg.Deadlock {
-		ex.dl = deadlock.New(p.NumThreads())
-	}
-
-	demandPolicy := cfg.Demand.Kind.Demand()
-	pmu.SetHandler(func(s perf.Sample) {
-		if demandPolicy {
-			acc.Interrupt()
-		}
-		ctl.OnSample(s)
-	})
-	if demandPolicy {
-		// Mirror the paper: the HITM counter is disarmed while a context's
-		// threads are all in analysis mode (the signal is redundant there)
-		// and re-armed when a thread decays back to fast execution.
-		ctl.SetCounterControl(pmu.SetEnabled)
-	}
-
-	if err := sc.RunContext(ctx, ex); err != nil {
-		return nil, err
-	}
-	pmu.DrainAll()
-
-	dst := ctl.Stats()
-	if cfg.Demand.Kind == demand.WatchDemand {
-		// Watchpoint arming writes a debug register instead of re-patching
-		// instrumentation; expiration is free.
-		acc.WatchArm(dst.EnableTransitions)
-	} else {
-		acc.ModeSwitch(dst.EnableTransitions + dst.DisableTransitions)
-	}
-	if pt := ctl.PageTracker(); pt != nil {
-		acc.PageFaults(pt.Stats().Faults)
-		acc.ProtSweeps(pt.Stats().Sweeps)
-	}
-
-	rep.NativeCycles = acc.NativeCycles()
-	rep.ToolCycles = acc.ToolCycles()
-	rep.Slowdown = acc.Slowdown()
-	rep.Cost = acc.Breakdown()
-	rep.Races = det.Reports()
-	if ex.ls != nil {
-		rep.LocksetReports = ex.ls.Reports()
-	}
-	if ex.dl != nil {
-		rep.DeadlockReports = ex.dl.Reports()
-	}
-	rep.Cache = hier.Stats()
-	rep.Cores = hier.PerCoreStats()
-	rep.PMU = pmu.Stats()
-	rep.Demand = dst
-	rep.Threads = ctl.Residency()
-	rep.Detector = det.Stats()
-	rep.Steps = sc.Steps()
-	if cfg.Trace != nil {
-		rep.Timeline = obs.ThreadSpans(cfg.Trace.Events(), acc.ToolCycles(),
-			p.NumThreads(), cfg.Demand.Kind == demand.Continuous)
-	}
-	if cfg.Prof != nil {
-		rep.Profile = cfg.Prof.Snapshot(p.Name)
-	}
-	publishMetrics(cfg.Metrics, rep)
-	return rep, nil
+	return reps[0], nil
 }
 
-// RunPolicies runs p once per policy under otherwise identical
-// configuration, returning reports keyed by policy order.
+// RunPolicies analyzes one execution of p under each policy, with cfg
+// otherwise unchanged, and returns the reports in policy order. Each report
+// equals Run(p, cfg.WithPolicy(kind)); the scheduler and the cache
+// hierarchy run once for all of them.
 func RunPolicies(p *program.Program, cfg Config, kinds ...demand.PolicyKind) ([]*Report, error) {
-	out := make([]*Report, 0, len(kinds))
-	for _, k := range kinds {
-		r, err := Run(p, cfg.WithPolicy(k))
-		if err != nil {
-			return nil, fmt.Errorf("runner: policy %v: %w", k, err)
-		}
-		out = append(out, r)
+	cfgs := make([]Config, len(kinds))
+	for i, k := range kinds {
+		// Every lane derives from cfg, so they share its execution by
+		// construction — even a Sched.CtxOf that RunConfigs cannot compare.
+		cfgs[i] = cfg.WithPolicy(k).normalized()
 	}
-	return out, nil
+	return execute(context.Background(), p, cfgs)
 }
 
-// RunPoliciesParallel is RunPolicies fanned out across workers goroutines
-// (0 = one per CPU). Each policy's run owns its entire pipeline, so the
-// reports — still ordered by policy — are identical to the serial ones.
-func RunPoliciesParallel(p *program.Program, cfg Config, workers int, kinds ...demand.PolicyKind) ([]*Report, error) {
-	eng := parallel.New(workers)
-	return parallel.Map(context.Background(), eng, len(kinds), func(_ context.Context, i int) (*Report, error) {
-		r, err := Run(p, cfg.WithPolicy(kinds[i]))
-		if err != nil {
-			return nil, fmt.Errorf("runner: policy %v: %w", kinds[i], err)
+// RunConfigs analyzes one execution of p under each configuration and
+// returns the reports in order; each equals Run(p, cfgs[i]). The
+// configurations must normalize to the same Cache and Sched (and leave
+// Sched.CtxOf unset when there is more than one); they may differ in every
+// per-lane field. No two may share a Trace, Prof or Tracer.
+func RunConfigs(p *program.Program, cfgs ...Config) ([]*Report, error) {
+	lanes := make([]Config, len(cfgs))
+	for i, c := range cfgs {
+		lanes[i] = c.normalized()
+		if i == 0 {
+			continue
 		}
-		return r, nil
-	})
+		if err := sameExecution(lanes[0], lanes[i]); err != nil {
+			return nil, fmt.Errorf("runner: lane %d cannot share lane 0's execution: %w", i, err)
+		}
+	}
+	return execute(context.Background(), p, lanes)
 }
