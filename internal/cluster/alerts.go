@@ -2,19 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"sort"
-	"sync"
 
 	"demandrace/internal/obs/alert"
 )
-
-// maxAlertBodyBytes bounds a backend's /v1/alerts response during
-// aggregation.
-const maxAlertBodyBytes = 1 << 20
 
 // BackendAlertStats is one backend's row in the fleet alert document.
 type BackendAlertStats struct {
@@ -45,8 +36,8 @@ type FleetAlerts struct {
 	Backends []BackendAlertStats `json:"backends"`
 }
 
-// FleetAlerts fans out to every backend's /v1/alerts under the stats
-// timeout and merges the answers with the gateway's own engine state.
+// FleetAlerts fans out to every backend's /v1/alerts and merges the
+// answers with the gateway's own engine state.
 func (g *Gateway) FleetAlerts(ctx context.Context) FleetAlerts {
 	doc := FleetAlerts{
 		Node:    g.cfg.Node,
@@ -55,39 +46,21 @@ func (g *Gateway) FleetAlerts(ctx context.Context) FleetAlerts {
 		Rules:   g.alerts.Rules(),
 	}
 
-	type answer struct {
-		doc alert.Doc
-		err error
-	}
-	answers := make([]answer, len(g.backends))
-	var wg sync.WaitGroup
-	for i, b := range g.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, g.cfg.StatsTimeout)
-			defer cancel()
-			doc, err := fetchAlerts(sctx, g.client, b.URL)
-			answers[i] = answer{doc, err}
-		}(i, b)
-	}
-	wg.Wait()
-
+	docs, errs := fanOut[alert.Doc](ctx, g, "/v1/alerts")
 	for i, b := range g.backends {
 		row := BackendAlertStats{Name: b.Name}
-		if err := answers[i].err; err != nil {
+		if err := errs[i]; err != nil {
 			row.Error = err.Error()
 			doc.AlertErrors++
-			g.log.Debug("backend alerts unavailable", "backend", b.Name, "error", err.Error())
 		} else {
-			for _, a := range answers[i].doc.Active {
+			for _, a := range docs[i].Active {
 				row.Active++
 				if a.State == alert.StateFiring {
 					row.Firing++
 				}
 			}
-			doc.Active = append(doc.Active, answers[i].doc.Active...)
-			doc.History = append(doc.History, answers[i].doc.History...)
+			doc.Active = append(doc.Active, docs[i].Active...)
+			doc.History = append(doc.History, docs[i].History...)
 		}
 		doc.Backends = append(doc.Backends, row)
 	}
@@ -103,31 +76,4 @@ func (g *Gateway) FleetAlerts(ctx context.Context) FleetAlerts {
 		return doc.History[i].ResolvedMS > doc.History[j].ResolvedMS
 	})
 	return doc
-}
-
-// fetchAlerts reads one backend's alert document.
-func fetchAlerts(ctx context.Context, client *http.Client, base string) (alert.Doc, error) {
-	var doc alert.Doc
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/alerts", nil)
-	if err != nil {
-		return doc, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return doc, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return doc, fmt.Errorf("cluster: backend alerts answered HTTP %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, maxAlertBodyBytes)).Decode(&doc)
-	return doc, err
-}
-
-func (g *Gateway) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.FleetAlerts(r.Context()))
-}
-
-func (g *Gateway) handleDashboard(w http.ResponseWriter, _ *http.Request) {
-	alert.ServeConsole(w, g.cfg.Node)
 }

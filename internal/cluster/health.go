@@ -79,6 +79,9 @@ func ParseBackends(spec string) ([]Backend, error) {
 		if b.Name == "" {
 			b.Name = strings.ReplaceAll(u.Host, ":", "-")
 		}
+		if err := checkName(b.Name); err != nil {
+			return nil, err
+		}
 		if seen[b.Name] {
 			return nil, fmt.Errorf("cluster: duplicate backend name %q", b.Name)
 		}

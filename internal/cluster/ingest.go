@@ -12,11 +12,7 @@ package cluster
 // ddgate sees exactly the single-node protocol.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"demandrace/internal/service"
@@ -24,205 +20,18 @@ import (
 
 // handleTraceOpen opens a session on a ring-chosen backend. The rotation
 // key spreads concurrent uploads; failover is safe here because no state
-// exists until some backend answers 201.
+// exists until some backend answers 201. A session spends one edge
+// admission token up front, same as a batch POST; chunks then stream
+// inside the already-admitted session.
 func (g *Gateway) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
-	// A session spends one edge admission token up front, same as a batch
-	// POST; chunks then stream inside the already-admitted session.
-	if _, ok := g.admitTenant(w, r); !ok {
+	if _, ok := service.AdmitTenant(w, r, g.tenants, g.log, nil); !ok {
 		return
 	}
 	key := fmt.Sprintf("ingest-session-%d", g.sessionSeq.Add(1))
-	candidates := g.candidates(key)
-	if len(candidates) == 0 {
-		g.cErrors.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "cluster: no healthy backends")
-		return
-	}
-	up, err := g.forward(r.Context(), candidates, func(base string) (*http.Request, error) {
-		u := base + "/v1/traces"
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequest(http.MethodPost, u, nil)
-		if err != nil {
-			return nil, err
-		}
-		forwardAPIKey(req, r)
-		return req, nil
-	})
-	if err != nil {
-		g.cErrors.Inc()
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cluster: all backends failed: %v", err))
+	up, ok := g.forwardByKey(w, r, key, nil)
+	if !ok {
 		return
 	}
 	g.log.Info("ingest session routed", "backend", up.backend, "status", up.status)
-	g.relayWith(w, up, rewriteSessionDoc)
-}
-
-// handleTraceChunk forwards one chunk to the session's owner. No failover:
-// the session exists on exactly one node, and a replayed body elsewhere
-// could only 404.
-func (g *Gateway) handleTraceChunk(w http.ResponseWriter, r *http.Request) {
-	name, remoteID, ok := g.sessionOwner(w, r)
-	if !ok {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading chunk: %v", err))
-		return
-	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: chunk exceeds %d bytes", g.cfg.MaxBodyBytes))
-		return
-	}
-	g.forwardSession(w, r, name, rewriteAckDoc, func(base string) (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPut,
-			base+"/v1/traces/"+remoteID+"/chunks/"+r.PathValue("seq"), bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		if v := r.Header.Get(service.ChunkCRCHeader); v != "" {
-			req.Header.Set(service.ChunkCRCHeader, v)
-		}
-		return req, nil
-	})
-}
-
-// handleTraceSession forwards a session status poll — the client's resume
-// handle after a dropped connection — to the owner.
-func (g *Gateway) handleTraceSession(w http.ResponseWriter, r *http.Request) {
-	name, remoteID, ok := g.sessionOwner(w, r)
-	if !ok {
-		return
-	}
-	g.forwardSession(w, r, name, rewriteSessionDoc, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, base+"/v1/traces/"+remoteID, nil)
-	})
-}
-
-// handleTraceCommit forwards the seal to the owner; the answer is a Status
-// document whose job ID re-namespaces like any other.
-func (g *Gateway) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
-	name, remoteID, ok := g.sessionOwner(w, r)
-	if !ok {
-		return
-	}
-	g.forwardSession(w, r, name, nil, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodPost, base+"/v1/traces/"+remoteID+"/commit", nil)
-	})
-}
-
-// handlePartial forwards a partial-races poll. The id is a namespaced
-// session ID mid-stream or a namespaced job ID after commit — both carry
-// the owner in their prefix.
-func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
-	name, remoteID, ok := g.sessionOwner(w, r)
-	if !ok {
-		return
-	}
-	g.forwardSession(w, r, name, rewritePartialDoc, func(base string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, base+"/v1/jobs/"+remoteID+"/partial", nil)
-	})
-}
-
-// sessionOwner decodes the namespaced {id} path segment and resolves its
-// backend, answering 404 itself when the prefix is unroutable.
-func (g *Gateway) sessionOwner(w http.ResponseWriter, r *http.Request) (name, remoteID string, ok bool) {
-	name, remoteID, ok = splitJobID(r.PathValue("id"))
-	if !ok || g.byName[name] == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("cluster: no such session %q (gateway ids look like backend:s-n)", r.PathValue("id")))
-		return "", "", false
-	}
-	return name, remoteID, true
-}
-
-// forwardSession sends one no-failover request to the named owner and
-// relays the answer through rewrite (nil means Status-document rewriting).
-func (g *Gateway) forwardSession(w http.ResponseWriter, r *http.Request, name string, rewrite rewriteFunc, build func(base string) (*http.Request, error)) {
-	b := g.byName[name]
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Retry.Timeout)
-	defer cancel()
-	up, err := g.attemptOne(ctx, b, build)
-	if err != nil {
-		g.cErrors.Inc()
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cluster: backend %s unreachable: %v", name, err))
-		return
-	}
-	if rewrite == nil {
-		g.relay(w, up, true)
-		return
-	}
-	g.relayWith(w, up, rewrite)
-}
-
-// rewriteFunc re-namespaces backend-local IDs in a response document.
-type rewriteFunc func(body []byte, backendName string) ([]byte, bool)
-
-// relayWith is relay with a document-specific ID rewriter.
-func (g *Gateway) relayWith(w http.ResponseWriter, up upstream, rewrite rewriteFunc) {
-	for _, h := range []string{"Content-Type", "Retry-After", "X-DD-Tenant"} {
-		if v := up.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	body := up.body
-	if rewritten, ok := rewrite(body, up.backend); ok {
-		body = rewritten
-	}
-	w.WriteHeader(up.status)
-	w.Write(body)
-}
-
-// rewriteSessionDoc namespaces the session (and bound job) IDs of a
-// TraceSession document.
-func rewriteSessionDoc(body []byte, backendName string) ([]byte, bool) {
-	var st service.TraceSession
-	if err := json.Unmarshal(body, &st); err != nil || st.Session == "" {
-		return nil, false
-	}
-	st.Session = joinJobID(backendName, st.Session)
-	if st.Job != "" {
-		st.Job = joinJobID(backendName, st.Job)
-	}
-	out, err := json.Marshal(st)
-	if err != nil {
-		return nil, false
-	}
-	return append(out, '\n'), true
-}
-
-// rewriteAckDoc namespaces the session ID of a ChunkAck document.
-func rewriteAckDoc(body []byte, backendName string) ([]byte, bool) {
-	var ack service.ChunkAck
-	if err := json.Unmarshal(body, &ack); err != nil || ack.Session == "" {
-		return nil, false
-	}
-	ack.Session = joinJobID(backendName, ack.Session)
-	out, err := json.Marshal(ack)
-	if err != nil {
-		return nil, false
-	}
-	return append(out, '\n'), true
-}
-
-// rewritePartialDoc namespaces the session and job IDs of a PartialReport.
-func rewritePartialDoc(body []byte, backendName string) ([]byte, bool) {
-	var p service.PartialReport
-	if err := json.Unmarshal(body, &p); err != nil || p.Session == "" {
-		return nil, false
-	}
-	p.Session = joinJobID(backendName, p.Session)
-	if p.Job != "" {
-		p.Job = joinJobID(backendName, p.Job)
-	}
-	out, err := json.Marshal(p)
-	if err != nil {
-		return nil, false
-	}
-	return append(out, '\n'), true
+	relay(w, up, sessionIDs)
 }

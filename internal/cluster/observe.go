@@ -7,54 +7,47 @@ import (
 	"sync"
 	"time"
 
-	"demandrace/internal/obs"
 	"demandrace/internal/obs/stream"
 )
 
 // defaultTraceStoreCap bounds how many recent submissions keep their
-// gateway-side forwarding spans for GET /v1/jobs/{id}/trace merging. FIFO
-// eviction: job traces are fetched shortly after submission, so recency is
-// the right retention policy.
+// gateway-side forwarding spans for GET /v1/jobs/{id}/trace merging.
 const defaultTraceStoreCap = 256
 
-// traceStore maps gateway job IDs ("backend:j-n") to the recorder that
-// captured the request's gateway-side spans (request envelope, forward
-// attempts, hedges). Recorders are stored live — the request's root span
-// ends after the handler returns, and Records() picks it up at read time.
-type traceStore struct {
+// recent is a FIFO-capped map keyed by gateway job ID ("backend:j-n"):
+// past cap entries the oldest goes. Recency is the right retention policy
+// for what the gateway remembers per job — traces and results are fetched
+// shortly after submission.
+type recent[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	m     map[string]*obs.SpanRecorder
+	m     map[string]V
 	order []string // insertion order, oldest first
 }
 
-func newTraceStore(capacity int) *traceStore {
-	if capacity <= 0 {
-		capacity = defaultTraceStoreCap
-	}
-	return &traceStore{cap: capacity, m: make(map[string]*obs.SpanRecorder)}
+func newRecent[V any](capacity int) *recent[V] {
+	return &recent[V]{cap: capacity, m: make(map[string]V)}
 }
 
-// put stores a recorder under id, evicting the oldest entry past cap.
-func (t *traceStore) put(id string, rec *obs.SpanRecorder) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[id]; !ok {
-		t.order = append(t.order, id)
+// put stores v under id, evicting the oldest entry past cap.
+func (r *recent[V]) put(id string, v V) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.m[id]; !ok {
+		r.order = append(r.order, id)
 	}
-	t.m[id] = rec
-	for len(t.order) > t.cap {
-		delete(t.m, t.order[0])
-		t.order = t.order[1:]
+	r.m[id] = v
+	for len(r.order) > r.cap {
+		delete(r.m, r.order[0])
+		r.order = r.order[1:]
 	}
 }
 
-// records returns the recorded spans for id (nil when unknown or evicted).
-func (t *traceStore) records(id string) []obs.SpanRecord {
-	t.mu.Lock()
-	rec := t.m[id]
-	t.mu.Unlock()
-	return rec.Records()
+func (r *recent[V]) get(id string) (V, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.m[id]
+	return v, ok
 }
 
 // tailLoop follows one backend's GET /v1/events stream for the gateway's

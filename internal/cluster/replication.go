@@ -14,54 +14,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"demandrace/internal/replica"
 )
 
 // defaultKeyIndexCap bounds the job-ID → cache-key index backing
-// read-repair. FIFO eviction, like the trace store: results are polled
-// shortly after submission, and replication itself converges through
+// read-repair (Gateway.jobKeys): a result poll carries only the job ID,
+// and read-repair needs the key. Replication itself converges through
 // Track/Resync regardless of this index.
 const defaultKeyIndexCap = 4096
-
-// keyIndex maps gateway job IDs ("backend:j-n") to the content-addressed
-// cache key the submission routed on. Read-repair needs the key, but a
-// result poll only carries the job ID — this is the join between them.
-type keyIndex struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]string
-	order []string // insertion order, oldest first
-}
-
-func newKeyIndex(capacity int) *keyIndex {
-	if capacity <= 0 {
-		capacity = defaultKeyIndexCap
-	}
-	return &keyIndex{cap: capacity, m: make(map[string]string)}
-}
-
-func (k *keyIndex) put(id, key string) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if _, ok := k.m[id]; !ok {
-		k.order = append(k.order, id)
-	}
-	k.m[id] = key
-	for len(k.order) > k.cap {
-		delete(k.m, k.order[0])
-		k.order = k.order[1:]
-	}
-}
-
-func (k *keyIndex) get(id string) (string, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	key, ok := k.m[id]
-	return key, ok
-}
 
 // seedTimeout bounds the startup shard import from each backend.
 const seedTimeout = 30 * time.Second
@@ -95,12 +57,9 @@ func (p *httpPeer) Get(ctx context.Context, key string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: %s answered %d for replica key", p.b.Name, resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, p.g.cfg.MaxBodyBytes+1))
+	data, err := readLimited(resp.Body, p.g.cfg.MaxBodyBytes)
 	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > p.g.cfg.MaxBodyBytes {
-		return nil, fmt.Errorf("cluster: replica body from %s exceeds %d bytes", p.b.Name, p.g.cfg.MaxBodyBytes)
+		return nil, fmt.Errorf("cluster: replica body from %s: %w", p.b.Name, err)
 	}
 	return data, nil
 }

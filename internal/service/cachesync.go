@@ -25,7 +25,7 @@ const maxCacheKeyLen = 128
 
 func (s *Server) handleCacheKeys(w http.ResponseWriter, _ *http.Request) {
 	keys := s.cache.keys()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"node": s.cfg.Node,
 		"keys": keys,
 	})
@@ -35,7 +35,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	data, ok := s.cache.export(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no result stored under this key")
+		WriteError(w, http.StatusNotFound, "no result stored under this key")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -46,7 +46,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if key == "" || len(key) > maxCacheKeyLen {
-		writeError(w, http.StatusBadRequest, "replica key must be 1..128 bytes")
+		WriteError(w, http.StatusBadRequest, "replica key must be 1..128 bytes")
 		return
 	}
 	// Replica payloads are sealed result documents, bounded like any other
@@ -55,14 +55,14 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var lim *trace.LimitError
 		if errors.As(err, &lim) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+			WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(data) == 0 {
-		writeError(w, http.StatusBadRequest, "replica payload is empty")
+		WriteError(w, http.StatusBadRequest, "replica payload is empty")
 		return
 	}
 	s.cache.put(key, data)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"mime"
 	"net/http"
 	"strconv"
@@ -23,72 +24,119 @@ import (
 // application/octet-stream is accepted as a synonym.
 const TraceContentType = "application/x-ddrace-trace"
 
-// route pairs a mux pattern with the stable key used for its latency
-// histogram (obs.SvcHTTPLatencyPrefix + key) and the /v1/stats row. quiet
-// routes are polled by infrastructure, so their access logs emit at debug.
-// stream routes hold their connection open indefinitely (SSE), so they
-// bypass the latency histogram and SLO accounting — an hour-long tail is
-// not an hour-long request.
+// route is one row of the API surface ddserved and ddgate both serve: a
+// mux pattern and the stable key naming its latency histogram and
+// /v1/stats row. quiet routes are polled by infrastructure, so their
+// access logs emit at debug. stream routes hold their connection open
+// indefinitely (SSE), so they bypass the latency histogram and SLO
+// accounting — an hour-long tail is not an hour-long request.
 type route struct {
 	pattern string
 	key     string
 	quiet   bool
 	stream  bool
-	handler http.HandlerFunc
 }
 
-// routes returns the API surface in a fixed order — the same order
-// /v1/stats reports endpoints in.
-func (s *Server) routes() []route {
-	return []route{
-		{"POST /v1/jobs", "post_jobs", false, false, s.handleSubmit},
-		{"POST /v1/traces", "post_traces", false, false, s.handleTraceOpen},
-		{"PUT /v1/traces/{id}/chunks/{seq}", "put_trace_chunk", false, false, s.handleTraceChunk},
-		{"GET /v1/traces/{id}", "get_trace_session", false, false, s.handleTraceSession},
-		{"POST /v1/traces/{id}/commit", "post_trace_commit", false, false, s.handleTraceCommit},
-		{"GET /v1/jobs/{id}", "get_job", false, false, s.handleStatus},
-		{"GET /v1/jobs/{id}/trace", "get_job_trace", false, false, s.handleJobTrace},
-		{"GET /v1/jobs/{id}/partial", "get_job_partial", false, false, s.handlePartial},
-		{"GET /v1/results/{id}", "get_result", false, false, s.handleResult},
-		{"GET /v1/cache", "get_cache_keys", true, false, s.handleCacheKeys},
-		{"GET /v1/cache/{key}", "get_cache_entry", true, false, s.handleCacheGet},
-		{"PUT /v1/cache/{key}", "put_cache_entry", true, false, s.handleCachePut},
-		{"GET /v1/timeseries", "get_timeseries", true, false, s.handleTimeseries},
-		{"GET /v1/events", "get_events", true, true, s.handleEvents},
-		{"GET /v1/alerts", "get_alerts", true, false, s.handleAlerts},
-		{"GET /v1/dashboard", "get_dashboard", true, false, s.handleDashboard},
-		{"GET /v1/stats", "get_stats", true, false, s.handleStats},
-		{"GET /healthz", "healthz", true, false, s.handleHealth},
-		{"GET /metrics", "metrics", true, false, s.handleMetrics},
-	}
+// routes is the API surface in a fixed order — the order /v1/stats
+// reports endpoints in. The /v1/cache rows are fleet-internal: ddgate
+// mounts no handler for them.
+var routes = []route{
+	{"POST /v1/jobs", "post_jobs", false, false},
+	{"POST /v1/traces", "post_traces", false, false},
+	{"PUT /v1/traces/{id}/chunks/{seq}", "put_trace_chunk", false, false},
+	{"GET /v1/traces/{id}", "get_trace_session", false, false},
+	{"POST /v1/traces/{id}/commit", "post_trace_commit", false, false},
+	{"GET /v1/jobs/{id}", "get_job", false, false},
+	{"GET /v1/jobs/{id}/trace", "get_job_trace", false, false},
+	{"GET /v1/jobs/{id}/partial", "get_job_partial", false, false},
+	{"GET /v1/results/{id}", "get_result", false, false},
+	{"GET /v1/cache", "get_cache_keys", true, false},
+	{"GET /v1/cache/{key}", "get_cache_entry", true, false},
+	{"PUT /v1/cache/{key}", "put_cache_entry", true, false},
+	{"GET /v1/timeseries", "get_timeseries", true, false},
+	{"GET /v1/events", "get_events", true, true},
+	{"GET /v1/alerts", "get_alerts", true, false},
+	{"GET /v1/dashboard", "get_dashboard", true, false},
+	{"GET /v1/stats", "get_stats", true, false},
+	{"GET /healthz", "healthz", true, false},
+	{"GET /metrics", "metrics", true, false},
 }
 
-// Handler returns the service API:
-//
-//	POST /v1/jobs          submit a job (JSON Request, or a binary trace
-//	                       upload with ?fullvc=1&max_reports=N&timeout_ms=D)
-//	GET  /v1/jobs/{id}     job status
-//	GET  /v1/results/{id}  result JSON of a done job
-//	GET  /v1/stats         latency percentiles, SLO budget, pool state
-//	GET  /healthz          liveness, drain state, queue-pressure degradation
-//	GET  /metrics          Prometheus text exposition of the registry
-//
-// Submissions answer 202 (accepted), 200 (cache hit, already done), 400
-// (malformed), 413 (upload over limits), 429 + Retry-After (queue full),
-// or 503 (draining).
-//
-// Every route is wrapped in the observability middleware: a wall-clock
-// span, a per-endpoint latency histogram, the SLO breach counters, and a
-// structured access-log line (method, path, status, bytes, dur_ms).
-func (s *Server) Handler() http.Handler {
+// Instrumentation is what the two tiers' request middleware differs in.
+type Instrumentation struct {
+	Registry *obs.Registry
+	Log      *slog.Logger
+	// Requests names the counter of every request the mux serves;
+	// LatencyPrefix + route key names each route's latency histogram.
+	Requests      string
+	LatencyPrefix string
+	// SpanPrefix + route key names each request's span ("http:" on
+	// ddserved, "gate:" on ddgate, where it lands in merged waterfalls).
+	SpanPrefix string
+	// SLORequests and SLOBreaches count measured requests and those slower
+	// than SLOLatency; nil handles (ddgate keeps no SLO) count nothing.
+	SLOLatency               time.Duration
+	SLORequests, SLOBreaches *obs.Counter
+}
+
+// Mount serves handlers, keyed by route key, on the shared route table,
+// each wrapped in the observability middleware: a wall-clock span, a
+// per-route latency histogram, the SLO counters, and a structured
+// access-log line (method, path, status, bytes, dur_ms). A route left
+// without a handler is not mounted and answers 404.
+func Mount(in Instrumentation, handlers map[string]http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range s.routes() {
-		mux.Handle(rt.pattern, s.instrument(rt))
+	mounted := 0
+	for _, rt := range routes {
+		if h := handlers[rt.key]; h != nil {
+			mux.Handle(rt.pattern, in.instrument(rt, h))
+			mounted++
+		}
 	}
-	counted := s.reg.Counter(obs.SvcHTTPRequests)
+	if mounted != len(handlers) {
+		panic("service: Mount given a handler for an unknown route key")
+	}
+	counted := in.Registry.Counter(in.Requests)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		counted.Inc()
 		mux.ServeHTTP(w, r)
+	})
+}
+
+// Handler returns the service API (see cmd/ddserved for the route list).
+// Submissions answer 202 (accepted), 200 (cache hit, already done), 400
+// (malformed), 413 (upload over limits), 429 + Retry-After (queue full),
+// or 503 (draining).
+func (s *Server) Handler() http.Handler {
+	return Mount(Instrumentation{
+		Registry:      s.reg,
+		Log:           s.log,
+		Requests:      obs.SvcHTTPRequests,
+		LatencyPrefix: obs.SvcHTTPLatencyPrefix,
+		SpanPrefix:    "http:",
+		SLOLatency:    s.cfg.SLOLatency,
+		SLORequests:   s.reg.Counter(obs.SvcSLORequests),
+		SLOBreaches:   s.reg.Counter(obs.SvcSLOBreaches),
+	}, map[string]http.HandlerFunc{
+		"post_jobs":         s.handleSubmit,
+		"post_traces":       s.handleTraceOpen,
+		"put_trace_chunk":   s.handleTraceChunk,
+		"get_trace_session": s.handleTraceSession,
+		"post_trace_commit": s.handleTraceCommit,
+		"get_job":           s.handleStatus,
+		"get_job_trace":     s.handleJobTrace,
+		"get_job_partial":   s.handlePartial,
+		"get_result":        s.handleResult,
+		"get_cache_keys":    s.handleCacheKeys,
+		"get_cache_entry":   s.handleCacheGet,
+		"put_cache_entry":   s.handleCachePut,
+		"get_timeseries":    s.handleTimeseries,
+		"get_events":        func(w http.ResponseWriter, r *http.Request) { stream.ServeSSE(w, r, s.bus) },
+		"get_alerts":        func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, http.StatusOK, s.alerts.Doc()) },
+		"get_dashboard":     func(w http.ResponseWriter, _ *http.Request) { alert.ServeConsole(w, s.cfg.Node) },
+		"get_stats":         func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, http.StatusOK, s.Stats()) },
+		"healthz":           s.handleHealth,
+		"metrics":           ServeMetrics(s.reg),
 	})
 }
 
@@ -115,35 +163,33 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // Incoming traceparent headers are parsed (or a fresh root trace minted)
 // before anything else, so the span, the access log, and whatever the
 // handler admits all share one trace ID.
-func (s *Server) instrument(rt route) http.Handler {
-	hist := s.reg.Histogram(obs.SvcHTTPLatencyPrefix+rt.key, obs.LatencyBuckets)
-	sloReq := s.reg.Counter(obs.SvcSLORequests)
-	sloBreach := s.reg.Counter(obs.SvcSLOBreaches)
+func (in Instrumentation) instrument(rt route, handler http.HandlerFunc) http.Handler {
+	hist := in.Registry.Histogram(in.LatencyPrefix+rt.key, obs.LatencyBuckets)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tc, _ := tracectx.FromHeader(r.Header.Get)
 		ctx := tracectx.Into(r.Context(), tc)
 		if rt.stream {
 			// SSE: hand the raw writer through (the recorder would hide
 			// http.Flusher) and log open/close instead of a latency line.
-			s.log.Debug("event stream open", "path", r.URL.Path, "trace_id", tc.TraceID())
-			rt.handler(w, r.WithContext(ctx))
-			s.log.Debug("event stream closed", "path", r.URL.Path, "trace_id", tc.TraceID())
+			in.Log.Debug("event stream open", "path", r.URL.Path, "trace_id", tc.TraceID())
+			handler(w, r.WithContext(ctx))
+			in.Log.Debug("event stream closed", "path", r.URL.Path, "trace_id", tc.TraceID())
 			return
 		}
-		ctx, span := obs.StartSpan(ctx, "http:"+rt.key)
+		ctx, span := obs.StartSpan(ctx, in.SpanPrefix+rt.key)
 		span.SetAttr("trace_id", tc.TraceID())
 		span.ObserveInto(hist)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		rt.handler(rec, r.WithContext(ctx))
+		handler(rec, r.WithContext(ctx))
 		dur := span.End()
 
-		sloReq.Inc()
-		if dur > s.cfg.SLOLatency {
-			sloBreach.Inc()
+		in.SLORequests.Inc()
+		if dur > in.SLOLatency {
+			in.SLOBreaches.Inc()
 		}
-		logf := s.log.Info
+		logf := in.Log.Info
 		if rt.quiet {
-			logf = s.log.Debug
+			logf = in.Log.Debug
 		}
 		logf("http request",
 			"method", r.Method,
@@ -157,26 +203,26 @@ func (s *Server) instrument(rt route) http.Handler {
 	})
 }
 
-// admitTenant runs the tenant gate for one submission: resolve the API
+// AdmitTenant runs the tenant gate for one submission: resolve the API
 // key (401 on an unknown key while tenancy is on), stamp the resolved
 // tenant name into the response header, and spend an admission token
-// (429 + the tenant's own Retry-After horizon on exhaustion). ok=false
-// means the response has been written. With tenancy off it admits with a
-// nil tenant.
-func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (*tenant.Tenant, bool) {
-	tn, err := s.tenants.Resolve(r.Header.Get(tenant.HeaderAPIKey))
+// (429 + the tenant's own Retry-After horizon on exhaustion, counted in
+// rejected). ok=false means the response has been written. With tenancy
+// off it admits with a nil tenant.
+func AdmitTenant(w http.ResponseWriter, r *http.Request, reg *tenant.Registry, log *slog.Logger, rejected *obs.Counter) (*tenant.Tenant, bool) {
+	tn, err := reg.Resolve(r.Header.Get(tenant.HeaderAPIKey))
 	if err != nil {
-		writeError(w, http.StatusUnauthorized, err.Error())
+		WriteError(w, http.StatusUnauthorized, err.Error())
 		return nil, false
 	}
 	if tn != nil {
 		w.Header().Set(tenant.HeaderTenant, tn.Name())
 	}
-	if ra, ok := s.tenants.Admit(tn); !ok {
-		s.cReject.Inc()
+	if ra, ok := reg.Admit(tn); !ok {
+		rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(ra))
-		s.log.Warn("job rejected", "reason", "tenant throttled", "tenant", tn.Name(), "retry_after_s", ra)
-		writeError(w, http.StatusTooManyRequests,
+		log.Warn("job rejected", "reason", "tenant throttled", "tenant", tn.Name(), "retry_after_s", ra)
+		WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q: admission budget exhausted, retry in %ds", tn.Name(), ra))
 		return nil, false
 	}
@@ -197,7 +243,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tn, admitted := s.admitTenant(w, r)
+	tn, admitted := AdmitTenant(w, r, s.tenants, s.log, s.cReject)
 	if !admitted {
 		return
 	}
@@ -210,11 +256,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	)
 	switch ct {
 	case TraceContentType, "application/octet-stream":
-		st, err = s.SubmitTrace(ctx, body, parseTraceOptions(r.URL.Query()))
+		st, err = s.SubmitTrace(ctx, body, ParseTraceOptions(r.URL.Query()))
 	default:
 		var req Request
 		if derr := json.NewDecoder(body).Decode(&req); derr != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", derr))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", derr))
 			return
 		}
 		st, err = s.Submit(ctx, req)
@@ -228,7 +274,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateDone {
 		code = http.StatusOK // cache hit: the result is already fetchable
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 // writeSubmitError maps admission errors onto status codes.
@@ -237,30 +283,30 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.As(err, &lim):
-		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
 	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Status(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	data, st, err := s.Result(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	switch st.State {
@@ -269,12 +315,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write(data)
 	case StateFailed:
-		writeError(w, http.StatusInternalServerError, st.Error)
+		WriteError(w, http.StatusInternalServerError, st.Error)
 	case StateCanceled:
-		writeError(w, http.StatusGatewayTimeout, st.Error)
+		WriteError(w, http.StatusGatewayTimeout, st.Error)
 	default:
 		// Not terminal yet: tell the poller to come back.
-		writeJSON(w, http.StatusConflict, st)
+		WriteJSON(w, http.StatusConflict, st)
 	}
 }
 
@@ -359,25 +405,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if state != HealthOK {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
-}
-
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.alerts.Doc())
-}
-
-func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
-	alert.ServeConsole(w, s.cfg.Node)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, code, body)
 }
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	data, err := s.JobTrace(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -388,33 +422,34 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	since, err := tsdb.ParseSince(r.URL.Query().Get("since"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.ts.Doc(r.URL.Query().Get("metric"), since))
+	WriteJSON(w, http.StatusOK, s.ts.Doc(r.URL.Query().Get("metric"), since))
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	stream.ServeSSE(w, r, s.bus)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Scrape time is an observation point: refresh the process-level
-	// runtime gauges so goroutine/heap/GC numbers are current.
-	obs.UpdateProcessGauges(s.reg)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WriteProm(w); err != nil {
-		// Headers are gone; nothing useful left to do but note it.
-		fmt.Fprintf(w, "# write error: %v\n", err)
+// ServeMetrics serves reg as Prometheus text exposition (GET /metrics).
+func ServeMetrics(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		// Scrape time is an observation point: refresh the process-level
+		// runtime gauges so goroutine/heap/GC numbers are current.
+		obs.UpdateProcessGauges(reg)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := reg.WriteProm(w); err != nil {
+			// Headers are gone; nothing useful left to do but note it.
+			fmt.Fprintf(w, "# write error: %v\n", err)
+		}
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as a JSON document.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError answers code with the {"error": msg} document both tiers use.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -28,9 +28,11 @@ import (
 // verifies the payload against it before applying anything.
 const ChunkCRCHeader = "X-Chunk-Crc32c"
 
-// parseTraceOptions reads the replay options both upload paths accept as
-// query parameters (?fullvc=1&max_reports=N&timeout_ms=D).
-func parseTraceOptions(q url.Values) TraceOptions {
+// ParseTraceOptions reads the replay options both upload paths accept as
+// query parameters (?fullvc=1&max_reports=N&timeout_ms=D). ddgate routes
+// a trace upload by the TraceCacheKey of what this returns, so its
+// routing key and the backend's cache key come from one parser.
+func ParseTraceOptions(q url.Values) TraceOptions {
 	opts := TraceOptions{FullVC: q.Get("fullvc") == "1" || q.Get("fullvc") == "true"}
 	if v := q.Get("max_reports"); v != "" {
 		opts.MaxReports, _ = strconv.Atoi(v)
@@ -47,15 +49,15 @@ func parseTraceOptions(q url.Values) TraceOptions {
 func (s *Server) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, ErrDraining.Error())
+		WriteError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		return
 	}
 	// A session is a submission in installments: it spends one admission
 	// token up front, the same as a batch POST /v1/jobs.
-	if _, ok := s.admitTenant(w, r); !ok {
+	if _, ok := AdmitTenant(w, r, s.tenants, s.log, s.cReject); !ok {
 		return
 	}
-	opts := parseTraceOptions(r.URL.Query())
+	opts := ParseTraceOptions(r.URL.Query())
 	st, err := s.ing.Open(ingest.OpenOptions{
 		Detector: detectorOptions(opts),
 		Hash:     traceKeyHasher(opts),
@@ -64,21 +66,21 @@ func (s *Server) handleTraceOpen(w http.ResponseWriter, r *http.Request) {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, st)
+	WriteJSON(w, http.StatusCreated, st)
 }
 
 // handleTraceChunk applies one chunk (PUT /v1/traces/{id}/chunks/{seq}).
 func (s *Server) handleTraceChunk(w http.ResponseWriter, r *http.Request) {
 	seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "malformed chunk sequence number")
+		WriteError(w, http.StatusBadRequest, "malformed chunk sequence number")
 		return
 	}
 	var declared *uint32
 	if v := r.Header.Get(ChunkCRCHeader); v != "" {
 		u, err := strconv.ParseUint(v, 10, 32)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "malformed "+ChunkCRCHeader+" header")
+			WriteError(w, http.StatusBadRequest, "malformed "+ChunkCRCHeader+" header")
 			return
 		}
 		crc := uint32(u)
@@ -94,7 +96,7 @@ func (s *Server) handleTraceChunk(w http.ResponseWriter, r *http.Request) {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ack)
+	WriteJSON(w, http.StatusOK, ack)
 }
 
 // handleTraceSession reports a session snapshot (GET /v1/traces/{id}) —
@@ -106,7 +108,7 @@ func (s *Server) handleTraceSession(w http.ResponseWriter, r *http.Request) {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleTraceCommit seals a session (POST /v1/traces/{id}/commit) and
@@ -122,18 +124,18 @@ func (s *Server) handleTraceCommit(w http.ResponseWriter, r *http.Request) {
 	if com.JobID != "" {
 		st, err := s.Status(com.JobID)
 		if err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
+			WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	st, err := s.completeStreamed(r.Context(), id, com)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handlePartial serves the races found so far (GET /v1/jobs/{id}/partial).
@@ -144,7 +146,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	WriteJSON(w, http.StatusOK, p)
 }
 
 // completeStreamed turns a sealed ingest commit into a done job: the
@@ -205,19 +207,19 @@ func writeIngestError(w http.ResponseWriter, err error) {
 	)
 	switch {
 	case errors.Is(err, ingest.ErrNoSession):
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ingest.ErrSessionQuota):
 		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ingest.ErrBusy):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ingest.ErrSealed), errors.Is(err, ingest.ErrCommitPending),
 		errors.As(err, &gap), errors.As(err, &inc):
-		writeError(w, http.StatusConflict, err.Error())
+		WriteError(w, http.StatusConflict, err.Error())
 	case errors.As(err, &lim):
-		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		WriteError(w, http.StatusRequestEntityTooLarge, err.Error())
 	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }

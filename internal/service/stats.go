@@ -149,7 +149,7 @@ func (s *Server) Stats() StatsSummary {
 
 	// The route table reuses the handler registration order, so the JSON is
 	// stable run to run even though the values are wall-clock.
-	for _, rt := range s.routes() {
+	for _, rt := range routes {
 		h := s.reg.Histogram(obs.SvcHTTPLatencyPrefix+rt.key, obs.LatencyBuckets)
 		sum.Endpoints = append(sum.Endpoints, EndpointStats{
 			Route:          rt.key,
