@@ -71,7 +71,7 @@ func main() {
 		failAfter     = flag.Int("fail-after", 2, "consecutive probe failures before ring eviction")
 		maxBody       = flag.Int64("max-body", 64<<20, "max request body buffered for replay, in bytes")
 		node          = flag.String("node", "ddgate", "node name reported in /v1/stats")
-		statsTimeout  = flag.Duration("stats-timeout", 0, "per-backend /v1/stats and /v1/timeseries fetch timeout (0 = 2s default)")
+		statsTimeout  = flag.Duration("stats-timeout", 0, "per-backend /v1/stats, /v1/alerts and /v1/timeseries fetch timeout (0 = 2s default)")
 		tsInterval    = flag.Duration("ts-interval", 0, "time-series sampling period for /v1/timeseries (0 = 5s default)")
 		tsRetention   = flag.Duration("ts-retention", 0, "time-series history kept per metric (0 = 1h default)")
 		alertRules    = flag.String("alert-rules", "", "JSON file of alert rules evaluated each ts-interval tick (empty = compiled-in ring rules)")

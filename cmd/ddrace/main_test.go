@@ -485,7 +485,7 @@ func TestWatchReconnectsAndResumes(t *testing.T) {
 	hello := "event: hello\ndata: {\"t\":1,\"type\":\"hello\",\"node\":\"n0\"}\n\n"
 	var lastIDs []string
 	srv := httptest.NewServer(sseHandler(t, []string{
-		hello + sseEvent(1, "job_queued"),                                          // conn 1, then drop
+		hello + sseEvent(1, "job_queued"), // conn 1, then drop
 		hello + sseEvent(1, "job_queued") + sseEvent(2, "job_started") + sseEvent(3, "job_done"), // conn 2 replays 1
 	}, &lastIDs))
 	defer srv.Close()

@@ -52,9 +52,9 @@ type clock struct{ t time.Time }
 
 func newClock() *clock { return &clock{t: time.UnixMilli(1_700_000_000_000)} }
 
-func (c *clock) now() time.Time              { return c.t }
-func (c *clock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func (c *clock) ms() int64                   { return c.t.UnixMilli() }
+func (c *clock) now() time.Time               { return c.t }
+func (c *clock) advance(d time.Duration)      { c.t = c.t.Add(d) }
+func (c *clock) ms() int64                    { return c.t.UnixMilli() }
 func (c *clock) sample(v float64) tsdb.Sample { return tsdb.Sample{UnixMS: c.ms(), Value: v} }
 
 // drainEvents collects every event currently queued on the subscriber.
@@ -468,8 +468,8 @@ func TestHistoryBound(t *testing.T) {
 	src := newFakeSource()
 	clk := newClock()
 	eng, err := New(Config{
-		Rules:   []Rule{{Name: "r", Kind: KindThreshold, Metric: "g", Value: 1}},
-		Source:  src, Now: clk.now,
+		Rules:  []Rule{{Name: "r", Kind: KindThreshold, Metric: "g", Value: 1}},
+		Source: src, Now: clk.now,
 		History: 2,
 	})
 	if err != nil {

@@ -49,15 +49,15 @@ func TestParseRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"not-a-traceparent",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",        // 3 parts
-		"0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // short version
-		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // non-hex version
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",     // reserved version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",     // zero trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",     // zero span
-		"00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b7-01",      // short trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736x-00f067aa0ba902b7-01",    // long trace
-		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",     // non-hex trace
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // 3 parts
+		"0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // short version
+		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // non-hex version
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // reserved version
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span
+		"00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b7-01",   // short trace
+		"00-4bf92f3577b34da6a3ce929d0e0e4736x-00f067aa0ba902b7-01", // long trace
+		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",  // non-hex trace
 	}
 	for _, s := range bad {
 		if c, ok := Parse(s); ok {
