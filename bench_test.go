@@ -153,6 +153,17 @@ func BenchmarkCacheLocalHit(b *testing.B) {
 	}
 }
 
+var sinkCache *demandrace.CacheHierarchy
+
+// BenchmarkCacheNew measures building the default hierarchy, which every
+// run pays before its first access.
+func BenchmarkCacheNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkCache = newHierarchy()
+	}
+}
+
 // BenchmarkCacheHITMPingPong measures the coherence slow path: alternating
 // writers on one line.
 func BenchmarkCacheHITMPingPong(b *testing.B) {

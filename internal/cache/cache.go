@@ -267,8 +267,20 @@ type way struct {
 	lru uint64
 }
 
+// l1 is one core's private cache. Every set is a window of length 0 and
+// capacity ways onto one backing array, so a set fills without
+// reallocating and a core's L1 costs two allocations.
 type l1 struct {
 	sets [][]way
+}
+
+func newL1(sets, ways int) l1 {
+	backing := make([]way, sets*ways)
+	c := l1{sets: make([][]way, sets)}
+	for s := range c.sets {
+		c.sets[s] = backing[s*ways : s*ways : (s+1)*ways]
+	}
+	return c
 }
 
 // CoreStats is one core's access profile.
@@ -305,14 +317,10 @@ func New(cfg Config) *Hierarchy {
 	}
 	h := &Hierarchy{cfg: cfg, cores: make([]l1, cfg.Cores), perCore: make([]CoreStats, cfg.Cores)}
 	for i := range h.cores {
-		sets := make([][]way, cfg.L1Sets)
-		for s := range sets {
-			sets[s] = make([]way, 0, cfg.L1Ways)
-		}
-		h.cores[i].sets = sets
+		h.cores[i] = newL1(cfg.L1Sets, cfg.L1Ways)
 	}
 	if cfg.HasLLC() {
-		h.llc = newLLC(cfg.L2Sets, cfg.L2Ways)
+		h.llc = &llc{sets: make([][]llcLine, cfg.L2Sets)}
 	}
 	return h
 }

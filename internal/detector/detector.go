@@ -30,6 +30,7 @@ package detector
 
 import (
 	"fmt"
+	"slices"
 
 	"demandrace/internal/intern"
 	"demandrace/internal/mem"
@@ -467,12 +468,15 @@ func (d *Detector) OnAtomicLoad(t vclock.TID, addr mem.Addr) {
 }
 
 // OnBarrierRelease records a barrier releasing: every participant's clock
-// becomes the join of all participants, then each advances its epoch.
+// becomes the join of all participants, then each advances its epoch. A
+// party listed more than once joins and ticks once, so an event costs at
+// most O(threads²) however long its list.
 func (d *Detector) OnBarrierRelease(parties []vclock.TID) {
 	d.stats.SyncOps++
 	for _, p := range parties {
 		d.clock(p)
 	}
+	parties = distinct(parties)
 	joined := vclock.New(len(d.threads))
 	for _, p := range parties {
 		joined.Join(d.threads[p])
@@ -481,4 +485,18 @@ func (d *Detector) OnBarrierRelease(parties []vclock.TID) {
 		d.threads[p].Assign(joined)
 		d.threads[p].Tick(p)
 	}
+}
+
+// distinct returns parties without repeats. The scheduler lists parties
+// strictly ascending, and such a list is returned as is, without
+// allocating; any other list (a trace may carry one) is sorted into a copy.
+func distinct(parties []vclock.TID) []vclock.TID {
+	for i := 1; i < len(parties); i++ {
+		if parties[i] <= parties[i-1] {
+			out := slices.Clone(parties)
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
+	}
+	return parties
 }

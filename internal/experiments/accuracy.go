@@ -142,8 +142,10 @@ type Tab3Result struct {
 }
 
 // Tab3 injects races into clean kernels across several seeds. Every
-// (kernel, repeats, seed) cell is an independent run; the fan-out flattens
-// the full grid and the per-row tallies are summed in seed order.
+// (kernel, repeats, seed) cell is an independent run. The kernels go one
+// at a time: each host is built once and its (repeats, seed) cells fan out
+// over it (racefuzz.Inject copies the host and never writes it), so at
+// most one host is live. Per-row tallies are summed in seed order.
 func Tab3(o Options) (*Tab3Result, error) {
 	o = o.normalized()
 	seeds := o.quickSeeds(8)
@@ -155,55 +157,49 @@ func Tab3(o Options) (*Tab3Result, error) {
 	repeatsAxis := []int{4, 1}
 
 	type tally struct{ injected, cont, dem int }
-	nRows := len(kernels) * len(repeatsAxis)
-	cells, err := fanOut(o, nRows*seeds, func(i int) (tally, error) {
-		row, seed := i/seeds, i%seeds
-		name := kernels[row/len(repeatsAxis)]
-		repeats := repeatsAxis[row%len(repeatsAxis)]
+	res := &Tab3Result{Seeds: seeds}
+	for _, name := range kernels {
 		p, err := buildProgram(name, o)
 		if err != nil {
-			return tally{}, err
+			return nil, err
 		}
-		injected, injs, err := racefuzz.Inject(p, racefuzz.Config{
-			Seed: int64(seed), Count: perSeed, Repeats: repeats,
+		cells, err := fanOut(o, len(repeatsAxis)*seeds, func(i int) (tally, error) {
+			injected, injs, err := racefuzz.Inject(p, racefuzz.Config{
+				Seed: int64(i % seeds), Count: perSeed, Repeats: repeatsAxis[i/seeds],
+			})
+			if err != nil {
+				return tally{}, err
+			}
+			reps, err := runner.RunPolicies(injected, runner.DefaultConfig(),
+				demand.Continuous, demand.HITMDemand)
+			if err != nil {
+				return tally{}, err
+			}
+			t := tally{injected: len(injs)}
+			contAddrs := racyAddrSet(reps[0])
+			demAddrs := racyAddrSet(reps[1])
+			for _, in := range injs {
+				if contAddrs[in.Addr] {
+					t.cont++
+				}
+				if demAddrs[in.Addr] {
+					t.dem++
+				}
+			}
+			return t, nil
 		})
 		if err != nil {
-			return tally{}, err
+			return nil, err
 		}
-		reps, err := runner.RunPolicies(injected, runner.DefaultConfig(),
-			demand.Continuous, demand.HITMDemand)
-		if err != nil {
-			return tally{}, err
-		}
-		t := tally{injected: len(injs)}
-		contAddrs := racyAddrSet(reps[0])
-		demAddrs := racyAddrSet(reps[1])
-		for _, in := range injs {
-			if contAddrs[in.Addr] {
-				t.cont++
+		for ri, repeats := range repeatsAxis {
+			r := Tab3Row{Kernel: name, Repeats: repeats}
+			for _, t := range cells[ri*seeds : (ri+1)*seeds] {
+				r.Injected += t.injected
+				r.ContFound += t.cont
+				r.DemandFound += t.dem
 			}
-			if demAddrs[in.Addr] {
-				t.dem++
-			}
+			res.Rows = append(res.Rows, r)
 		}
-		return t, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Tab3Result{Seeds: seeds}
-	for row := 0; row < nRows; row++ {
-		r := Tab3Row{
-			Kernel:  kernels[row/len(repeatsAxis)],
-			Repeats: repeatsAxis[row%len(repeatsAxis)],
-		}
-		for seed := 0; seed < seeds; seed++ {
-			t := cells[row*seeds+seed]
-			r.Injected += t.injected
-			r.ContFound += t.cont
-			r.DemandFound += t.dem
-		}
-		res.Rows = append(res.Rows, r)
 	}
 	return res, nil
 }
@@ -345,8 +341,9 @@ type Tab4Result struct {
 
 // Tab4 sweeps SAV × skid on injected races over a clean host kernel. Each
 // seed is one execution analyzed by every (SAV, skid) setting at once, and
-// the seeds fan out; per-row means are summed in seed order so the
-// floating-point totals match a serial loop exactly.
+// the seeds fan out over one host built before them (racefuzz.Inject
+// copies it); per-row means are summed in seed order so the floating-point
+// totals match a serial loop exactly.
 func Tab4(o Options) (*Tab4Result, error) {
 	o = o.normalized()
 	seeds := o.quickSeeds(6)
@@ -367,11 +364,11 @@ func Tab4(o Options) (*Tab4Result, error) {
 	// PMU programming does not change its reports, and one lane serves as
 	// every row's reference.
 	nRows := len(savs) * len(skids)
+	p, err := buildProgram(host, o)
+	if err != nil {
+		return nil, err
+	}
 	cells, err := fanOut(o, seeds, func(seed int) ([]sample, error) {
-		p, err := buildProgram(host, o)
-		if err != nil {
-			return nil, err
-		}
 		injected, injs, err := racefuzz.Inject(p, racefuzz.Config{
 			Seed: int64(seed), Count: perSeed, Repeats: 6,
 		})

@@ -61,12 +61,13 @@ func Tab5(o Options) (*Tab5Result, error) {
 		slow, analyzed   float64
 	}
 	// One execution per seed: every policy is a lane, plus a continuous
-	// oracle lane at the default configuration.
+	// oracle lane at the default configuration. The seeds share one host;
+	// racefuzz.Inject copies it.
+	p, err := buildProgram(host, o)
+	if err != nil {
+		return nil, err
+	}
 	cells, err := fanOut(o, seeds, func(seed int) ([]sample, error) {
-		p, err := buildProgram(host, o)
-		if err != nil {
-			return nil, err
-		}
 		injected, injs, err := racefuzz.Inject(p, racefuzz.Config{
 			Seed: int64(seed), Count: perSeed, Repeats: 4,
 		})

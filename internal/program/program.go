@@ -111,13 +111,15 @@ func (k Kind) IsWrite() bool { return k == OpStore || k == OpAtomicStore }
 // The ID spaces of the three classes are disjoint.
 type SyncID int32
 
-// Op is one executable operation.
+// Op is one executable operation. Field order packs it into 24 bytes
+// (Kind and Sync share the first word), which every build, injection copy
+// and scheduler read moves.
 type Op struct {
 	Kind Kind
-	// Addr is the target of memory ops.
-	Addr mem.Addr
 	// Sync is the target of synchronization ops.
 	Sync SyncID
+	// Addr is the target of memory ops.
+	Addr mem.Addr
 	// N is the cycle count for OpCompute.
 	N uint64
 }

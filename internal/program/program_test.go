@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"demandrace/internal/mem"
 )
@@ -237,5 +238,13 @@ func TestDump(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestOpSize pins Op's packed layout. Every kernel build, injected copy and
+// scheduler read moves Ops; the old field order padded them to 32 bytes.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 24", got)
 	}
 }

@@ -77,7 +77,10 @@ func Inject(p *program.Program, cfg Config) (*program.Program, []Injection, erro
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Copy thread bodies so splicing never aliases the input.
+	// Copy thread bodies so splicing never aliases the input. Each
+	// injection splices Repeats ops into two distinct threads, so no body
+	// grows by more than Count×Repeats and splice never reallocates one.
+	extra := cfg.Count * cfg.Repeats
 	out := &program.Program{
 		Name:           p.Name + "+races",
 		Threads:        make([]program.Thread, len(p.Threads)),
@@ -88,7 +91,9 @@ func Inject(p *program.Program, cfg Config) (*program.Program, []Injection, erro
 		Labels:         append([]string(nil), p.Labels...),
 	}
 	for i, th := range p.Threads {
-		out.Threads[i] = program.Thread{ID: th.ID, Ops: append([]program.Op(nil), th.Ops...)}
+		ops := make([]program.Op, len(th.Ops), len(th.Ops)+extra)
+		copy(ops, th.Ops)
+		out.Threads[i] = program.Thread{ID: th.ID, Ops: ops}
 	}
 
 	// Fresh lines start past every address the program touches.

@@ -238,11 +238,18 @@ func (s *Scheduler) pick() (int, bool) {
 		}
 		return ready[s.rng.Intn(len(ready))], true
 	default: // RoundRobin
+		// rrNext stays in [0, n), so indices wrap by comparison; pick runs
+		// once per slot and integer division showed in suite profiles.
+		i := s.rrNext
 		for off := 0; off < n; off++ {
-			i := (s.rrNext + off) % n
 			if s.threads[i].status == stReady {
-				s.rrNext = (i + 1) % n
+				if s.rrNext = i + 1; s.rrNext == n {
+					s.rrNext = 0
+				}
 				return i, true
+			}
+			if i++; i == n {
+				i = 0
 			}
 		}
 		return 0, false

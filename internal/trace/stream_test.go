@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"demandrace/internal/demand"
 	"demandrace/internal/detector"
+	"demandrace/internal/mem"
 	"demandrace/internal/program"
 	"demandrace/internal/trace"
 	"demandrace/internal/vclock"
@@ -334,4 +336,82 @@ func TestLiveReplayEmptyDetector(t *testing.T) {
 	if live.Detector() == nil {
 		t.Fatal("empty replay returned nil detector")
 	}
+}
+
+// barrierTrace records four threads racing around two barriers, listing
+// each barrier's parties as parties(set) returns them. Thread 5 appears
+// only as a barrier party, so its first reference grows the detector.
+func barrierTrace(parties func(set []vclock.TID) []vclock.TID) *trace.Trace {
+	rec := trace.NewRecorder("barriers")
+	op := func(t vclock.TID, kind program.Kind, addr mem.Addr) {
+		rec.RecordOp(t, 0, program.Op{Kind: kind, Addr: addr}, false, true)
+	}
+	op(0, program.OpStore, 0x100)
+	op(1, program.OpStore, 0x200)
+	rec.RecordBarrier(0, parties([]vclock.TID{0, 1, 2, 3, 5}), true)
+	op(1, program.OpLoad, 0x100) // ordered by barrier 0
+	op(2, program.OpStore, 0x200)
+	op(3, program.OpStore, 0x300)
+	op(0, program.OpStore, 0x300) // races with t3
+	rec.RecordBarrier(1, parties([]vclock.TID{1, 3}), true)
+	op(3, program.OpLoad, 0x200)  // races with t2, not a party of barrier 1
+	op(1, program.OpStore, 0x300) // ordered after t3's store, races with t0's
+	op(5, program.OpLoad, 0x100)  // ordered by barrier 0
+	return rec.Trace()
+}
+
+// TestBarrierRepeatedPartiesMatchDeduplicated checks that a barrier
+// listing its parties thousands of times, out of order, replays exactly
+// like its deduplicated form: same reports, Stats and per-thread clocks,
+// through Replay and through a stream fed one byte at a time.
+func TestBarrierRepeatedPartiesMatchDeduplicated(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	repeated := barrierTrace(func(set []vclock.TID) []vclock.TID {
+		var out []vclock.TID
+		for i := 0; i < 1000; i++ {
+			out = append(out, set...)
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	})
+	want := trace.Replay(barrierTrace(func(set []vclock.TID) []vclock.TID { return set }),
+		detector.Options{MaxReportsPerAddr: -1})
+	if len(want.Reports()) != 3 {
+		t.Fatalf("deduplicated form reports %d races, want 3: %v", len(want.Reports()), want.Reports())
+	}
+	threads, _, _ := repeated.Dims()
+
+	check := func(path string, got *detector.Detector) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Reports(), want.Reports()) {
+			t.Errorf("%s: reports %v, want %v", path, got.Reports(), want.Reports())
+		}
+		if got.Stats() != want.Stats() {
+			t.Errorf("%s: stats %+v, want %+v", path, got.Stats(), want.Stats())
+		}
+		for tid := 0; tid < threads; tid++ {
+			g, w := got.ClockOf(vclock.TID(tid)), want.ClockOf(vclock.TID(tid))
+			if g.String() != w.String() {
+				t.Errorf("%s: t%d clock %v, want %v", path, tid, g, w)
+			}
+		}
+	}
+	check("Replay", trace.Replay(repeated, detector.Options{MaxReportsPerAddr: -1}))
+
+	raw := encodeTrace(t, repeated)
+	dec := trace.NewStreamDecoder(trace.DecodeLimits{})
+	live := trace.NewLiveReplay(detector.Options{MaxReportsPerAddr: -1})
+	for i := range raw {
+		evs, err := dec.Feed(raw[i : i+1])
+		if err != nil {
+			t.Fatalf("Feed at offset %d: %v", i, err)
+		}
+		for _, e := range evs {
+			live.Apply(e)
+		}
+	}
+	if err := dec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("1-byte stream", live.Detector())
 }
