@@ -304,6 +304,11 @@ type Hierarchy struct {
 	tick    uint64
 	stats   Stats
 	perCore []CoreStats
+	// coreOf[ctx] is context ctx's core; its length is the context count.
+	coreOf []int
+	// l1Mask and l2Mask turn a line into its L1 and LLC set index; validate
+	// requires both set counts to be powers of two.
+	l1Mask, l2Mask uint64
 	// sink receives every coherence event in the order it is raised; nil
 	// discards them. The runner installs its PMU fan-out here.
 	sink func(Event)
@@ -315,11 +320,21 @@ func New(cfg Config) *Hierarchy {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{cfg: cfg, cores: make([]l1, cfg.Cores), perCore: make([]CoreStats, cfg.Cores)}
+	h := &Hierarchy{
+		cfg:     cfg,
+		coreOf:  make([]int, cfg.Contexts()),
+		l1Mask:  uint64(cfg.L1Sets - 1),
+		cores:   make([]l1, cfg.Cores),
+		perCore: make([]CoreStats, cfg.Cores),
+	}
+	for ctx := range h.coreOf {
+		h.coreOf[ctx] = ctx / cfg.SMT
+	}
 	for i := range h.cores {
 		h.cores[i] = newL1(cfg.L1Sets, cfg.L1Ways)
 	}
 	if cfg.HasLLC() {
+		h.l2Mask = uint64(cfg.L2Sets - 1)
 		h.llc = &llc{sets: make([][]llcLine, cfg.L2Sets)}
 	}
 	return h
@@ -340,11 +355,9 @@ func (h *Hierarchy) PerCoreStats() []CoreStats {
 }
 
 // CoreOf maps a hardware context to its physical core.
-func (h *Hierarchy) CoreOf(ctx Context) int { return int(ctx) / h.cfg.SMT }
+func (h *Hierarchy) CoreOf(ctx Context) int { return h.coreOf[ctx] }
 
-func (h *Hierarchy) setIndex(l mem.Line) int {
-	return int(uint64(l) % uint64(h.cfg.L1Sets))
-}
+func (h *Hierarchy) setIndex(l mem.Line) int { return int(uint64(l) & h.l1Mask) }
 
 func (h *Hierarchy) emit(ev Event) {
 	if h.sink != nil {
@@ -404,9 +417,10 @@ func (h *Hierarchy) install(core int, l mem.Line, st State, ctx Context) {
 // at address addr and returns the access result. This is the only mutating
 // entry point.
 func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
-	if int(ctx) < 0 || int(ctx) >= h.cfg.Contexts() {
-		panic(fmt.Sprintf("cache: context %d out of range [0,%d)", ctx, h.cfg.Contexts()))
+	if uint(ctx) >= uint(len(h.coreOf)) {
+		panic(fmt.Sprintf("cache: context %d out of range [0,%d)", ctx, len(h.coreOf)))
 	}
+	core := h.coreOf[ctx]
 	h.tick++
 	h.stats.Accesses++
 	if write {
@@ -414,7 +428,6 @@ func (h *Hierarchy) Access(ctx Context, addr mem.Addr, write bool) Result {
 	} else {
 		h.stats.Loads++
 	}
-	core := h.CoreOf(ctx)
 	l := mem.LineOf(addr)
 	res := Result{SrcCore: -1}
 

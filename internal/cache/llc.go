@@ -30,9 +30,7 @@ type llc struct {
 	sets [][]llcLine
 }
 
-func (h *Hierarchy) llcSetIndex(l mem.Line) int {
-	return int(uint64(l) % uint64(h.cfg.L2Sets))
-}
+func (h *Hierarchy) llcSetIndex(l mem.Line) int { return int(uint64(l) & h.l2Mask) }
 
 // llcLookup returns the LLC slot holding line, or nil.
 func (h *Hierarchy) llcLookup(l mem.Line) *llcLine {

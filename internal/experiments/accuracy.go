@@ -141,12 +141,18 @@ type Tab3Result struct {
 	Seeds int
 }
 
-// Tab3 injects races into clean kernels across several seeds. Every
-// (kernel, repeats, seed) cell is an independent run. The kernels go one
-// at a time: each host is built once and its (repeats, seed) cells fan out
-// over it (racefuzz.Inject copies the host and never writes it), so at
-// most one host is live. Per-row tallies are summed in seed order.
+// Tab3 injects races into clean kernels across several seeds, with both
+// repeated (4 accesses per side) and one-shot races.
 func Tab3(o Options) (*Tab3Result, error) {
+	return tab3(o, 4, 1)
+}
+
+// tab3 runs Tab.3's cells for the given repeats axis. Every (kernel,
+// repeats, seed) cell is an independent run. The kernels go one at a time:
+// each host is built once and its (repeats, seed) cells fan out over it
+// (racefuzz.Inject copies the host and never writes it), so at most one
+// host is live. Per-row tallies are summed in seed order.
+func tab3(o Options, repeatsAxis ...int) (*Tab3Result, error) {
 	o = o.normalized()
 	seeds := o.quickSeeds(8)
 	const perSeed = 3
@@ -154,7 +160,6 @@ func Tab3(o Options) (*Tab3Result, error) {
 	if o.Quick {
 		kernels = []string{"histogram", "streamcluster"}
 	}
-	repeatsAxis := []int{4, 1}
 
 	type tally struct{ injected, cont, dem int }
 	res := &Tab3Result{Seeds: seeds}

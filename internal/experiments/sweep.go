@@ -51,14 +51,16 @@ func Fig7(o Options) (*Fig7Result, error) {
 		}
 		p := workloads.Synth(spec)
 		reps, err := runner.RunPolicies(p, runner.DefaultConfig(),
-			demand.Off, demand.Continuous, demand.HITMDemand)
+			demand.Continuous, demand.HITMDemand)
 		if err != nil {
 			return Fig7Row{}, fmt.Errorf("experiments: fig7 share=%d: %w", shareEvery, err)
 		}
-		off, cont, dem := reps[0], reps[1], reps[2]
+		// The sharing fraction describes the execution, so every lane
+		// reports the same one.
+		cont, dem := reps[0], reps[1]
 		return Fig7Row{
 			ShareEvery:  shareEvery,
-			SharingFrac: off.SharingFraction(),
+			SharingFrac: cont.SharingFraction(),
 			Continuous:  cont.Slowdown,
 			Demand:      dem.Slowdown,
 			Speedup:     cont.Slowdown / dem.Slowdown,

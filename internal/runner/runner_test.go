@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"demandrace/internal/cache"
 	"demandrace/internal/demand"
 	"demandrace/internal/mem"
 	"demandrace/internal/program"
 	"demandrace/internal/sched"
+	"demandrace/internal/vclock"
+	"demandrace/internal/workloads"
 )
 
 // racyLoop builds a producer/consumer pair that races on one word every
@@ -258,6 +262,30 @@ func TestInvalidProgramRejected(t *testing.T) {
 	p := &program.Program{Name: "empty"}
 	if _, err := Run(p, DefaultConfig()); err == nil {
 		t.Error("invalid program accepted")
+	}
+}
+
+// TestPlacementOutsideContextsRejected checks that a Sched.CtxOf placing a
+// thread on a context the cache does not have fails the run up front, with
+// an error, instead of panicking inside the hierarchy mid-run.
+func TestPlacementOutsideContextsRejected(t *testing.T) {
+	k, _ := workloads.ByName("histogram")
+	p := k.Build(workloads.DefaultConfig())
+	for _, kinds := range [][]demand.PolicyKind{{demand.HITMDemand}, {demand.Continuous, demand.HITMDemand}} {
+		cfg := DefaultConfig()
+		cfg.Sched.CtxOf = func(t vclock.TID) cache.Context { return cache.Context(t + 2) }
+		reps, err := RunPolicies(p, cfg, kinds...)
+		if err == nil || reps != nil {
+			t.Fatalf("%v: placement t -> t+2 on 4 contexts accepted (err %v)", kinds, err)
+		}
+		if !strings.Contains(err.Error(), "outside [0,4)") {
+			t.Errorf("%v: error %q does not name the context range", kinds, err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Sched.CtxOf = func(t vclock.TID) cache.Context { return -1 }
+	if _, err := Run(p, cfg); err == nil {
+		t.Error("negative context accepted")
 	}
 }
 

@@ -180,3 +180,44 @@ func TestGoldenInterruptedSteps(t *testing.T) {
 		t.Errorf("interrupted after %d steps, want %d", ie.Steps, want)
 	}
 }
+
+// nopExec discards the delivery stream.
+type nopExec struct{}
+
+func (nopExec) Exec(vclock.TID, cache.Context, program.Op)  {}
+func (nopExec) BarrierRelease(program.SyncID, []vclock.TID) {}
+
+// TestRandomInterleaveAllocs checks that picking among ready threads at
+// random allocates nothing per slot: a random run makes no more
+// allocations than the same run under round robin.
+func TestRandomInterleaveAllocs(t *testing.T) {
+	k, _ := workloads.ByName("streamcluster")
+	p := k.Build(workloads.DefaultConfig())
+	runAllocs := func(cfg Config) float64 {
+		const runs = 5
+		// One scheduler per run, built outside the measurement;
+		// AllocsPerRun adds a warm-up run.
+		scheds := make([]*Scheduler, runs+1)
+		for i := range scheds {
+			s, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds[i] = s
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			s := scheds[next]
+			next++
+			if err := s.Run(nopExec{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	rr := runAllocs(DefaultConfig(4))
+	rnd := DefaultConfig(4)
+	rnd.Policy, rnd.Seed = RandomInterleave, 1
+	if got := runAllocs(rnd); got > rr {
+		t.Errorf("random interleaving makes %.0f allocations per run, round robin %.0f", got, rr)
+	}
+}

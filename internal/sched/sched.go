@@ -13,7 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"demandrace/internal/cache"
 	"demandrace/internal/program"
@@ -65,7 +65,8 @@ type Config struct {
 	// Contexts is the number of hardware contexts available. Threads are
 	// placed with CtxOf, defaulting to tid mod Contexts.
 	Contexts int
-	// CtxOf overrides thread placement (optional).
+	// CtxOf overrides thread placement (optional). New calls it once per
+	// thread and rejects a context outside [0, Contexts).
 	CtxOf func(vclock.TID) cache.Context
 }
 
@@ -146,10 +147,15 @@ type Scheduler struct {
 	prog    *program.Program
 	cfg     Config
 	threads []threadState
+	// ctxs[t] is thread t's hardware context, resolved once by New.
+	ctxs    []cache.Context
 	mutexes []mutexState
 	bars    []barrierState
 	sems    []semState
 	rng     *rand.Rand
+	// ready is RandomInterleave's buffer of ready thread indices, refilled
+	// at every pick.
+	ready []int
 	// rrNext is the next thread index to consider under round-robin.
 	rrNext int
 	// steps counts executed ops, for the stats consumers.
@@ -157,35 +163,44 @@ type Scheduler struct {
 }
 
 // New prepares a scheduler for one run of prog. The program must already be
-// validated.
+// validated. It fails if the configuration is invalid or places a thread
+// outside [0, cfg.Contexts).
 func New(prog *program.Program, cfg Config) (*Scheduler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	n := len(prog.Threads)
 	s := &Scheduler{
 		prog:    prog,
 		cfg:     cfg,
-		threads: make([]threadState, len(prog.Threads)),
+		threads: make([]threadState, n),
+		ctxs:    make([]cache.Context, n),
 		mutexes: make([]mutexState, prog.Mutexes),
 		bars:    make([]barrierState, prog.Barriers),
 		sems:    make([]semState, prog.Semaphores),
+	}
+	for t := range s.ctxs {
+		ctx := cache.Context(t % cfg.Contexts)
+		if cfg.CtxOf != nil {
+			ctx = cfg.CtxOf(vclock.TID(t))
+		}
+		if ctx < 0 || int(ctx) >= cfg.Contexts {
+			return nil, fmt.Errorf("sched: CtxOf places t%d on context %d, outside [0,%d)", t, ctx, cfg.Contexts)
+		}
+		s.ctxs[t] = ctx
 	}
 	for i := range s.mutexes {
 		s.mutexes[i].owner = -1
 	}
 	if cfg.Policy == RandomInterleave {
 		s.rng = rand.New(rand.NewSource(cfg.Seed))
+		s.ready = make([]int, 0, n)
 	}
 	return s, nil
 }
 
 // CtxOf returns the hardware context thread t runs on.
-func (s *Scheduler) CtxOf(t vclock.TID) cache.Context {
-	if s.cfg.CtxOf != nil {
-		return s.cfg.CtxOf(t)
-	}
-	return cache.Context(int(t) % s.cfg.Contexts)
-}
+func (s *Scheduler) CtxOf(t vclock.TID) cache.Context { return s.ctxs[t] }
 
 // Steps returns the number of ops executed so far.
 func (s *Scheduler) Steps() uint64 { return s.steps }
@@ -201,8 +216,13 @@ func (s *Scheduler) Run(ex Executor) error {
 // simulation aborts within one quantum of cancellation while the executed
 // prefix stays exactly the prefix a full run would have produced. A context
 // without a Done channel (context.Background) adds no per-slot cost.
+//
+// Each pass of the loop is one slot: pick a ready thread, then run it for up
+// to Quantum ops or until it blocks, ends, or releases a barrier.
 func (s *Scheduler) RunContext(ctx context.Context, ex Executor) error {
 	done := ctx.Done()
+	n := len(s.threads)
+slots:
 	for {
 		if done != nil {
 			select {
@@ -211,48 +231,67 @@ func (s *Scheduler) RunContext(ctx context.Context, ex Executor) error {
 			default:
 			}
 		}
-		ti, ok := s.pick()
-		if !ok {
+		ti := -1
+		if s.rng != nil {
+			s.ready = s.ready[:0]
+			for i := range s.threads {
+				if s.threads[i].status == stReady {
+					s.ready = append(s.ready, i)
+				}
+			}
+			if len(s.ready) > 0 {
+				ti = s.ready[s.rng.Intn(len(s.ready))]
+			}
+		} else {
+			// rrNext stays in [0, n), so indices wrap by comparison; the pick
+			// runs once per slot and integer division showed in suite
+			// profiles.
+			i := s.rrNext
+			for off := 0; off < n; off++ {
+				if s.threads[i].status == stReady {
+					if s.rrNext = i + 1; s.rrNext == n {
+						s.rrNext = 0
+					}
+					ti = i
+					break
+				}
+				if i++; i == n {
+					i = 0
+				}
+			}
+		}
+		if ti < 0 {
 			if s.allDone() {
 				return nil
 			}
 			return s.deadlock()
 		}
-		s.runSlot(ti, ex)
-	}
-}
 
-// pick chooses the next ready thread, or ok=false if none are ready.
-func (s *Scheduler) pick() (int, bool) {
-	n := len(s.threads)
-	switch s.cfg.Policy {
-	case RandomInterleave:
-		ready := make([]int, 0, n)
-		for i := range s.threads {
-			if s.threads[i].status == stReady {
-				ready = append(ready, i)
+		tid, c := vclock.TID(ti), s.ctxs[ti]
+		st := &s.threads[ti]
+		ops := s.prog.Threads[ti].Ops
+		for q := 0; q < s.cfg.Quantum; q++ {
+			if st.pc >= len(ops) {
+				st.status = stDone
+				continue slots
 			}
-		}
-		if len(ready) == 0 {
-			return 0, false
-		}
-		return ready[s.rng.Intn(len(ready))], true
-	default: // RoundRobin
-		// rrNext stays in [0, n), so indices wrap by comparison; pick runs
-		// once per slot and integer division showed in suite profiles.
-		i := s.rrNext
-		for off := 0; off < n; off++ {
-			if s.threads[i].status == stReady {
-				if s.rrNext = i + 1; s.rrNext == n {
-					s.rrNext = 0
+			switch op := ops[st.pc]; op.Kind {
+			case program.OpLock, program.OpUnlock, program.OpBarrier, program.OpSignal, program.OpWait:
+				if !s.syncOp(ex, st, tid, c, op) {
+					// Blocked, or released a barrier: the slot ends here, and
+					// a releasing thread whose body just ended stays ready
+					// until its next pick marks it done.
+					continue slots
 				}
-				return i, true
-			}
-			if i++; i == n {
-				i = 0
+			default:
+				s.steps++
+				ex.Exec(tid, c, op)
+				st.pc++
 			}
 		}
-		return 0, false
+		if st.pc >= len(ops) {
+			st.status = stDone
+		}
 	}
 }
 
@@ -288,90 +327,68 @@ func (s *Scheduler) deadlock() error {
 	return &DeadlockError{Blocked: blocked}
 }
 
-// runSlot runs thread ti for up to Quantum ops or until it blocks/finishes.
-func (s *Scheduler) runSlot(ti int, ex Executor) {
-	tid := vclock.TID(ti)
-	ctx := s.CtxOf(tid)
-	st := &s.threads[ti]
-	ops := s.prog.Threads[ti].Ops
-	for q := 0; q < s.cfg.Quantum; q++ {
-		if st.pc >= len(ops) {
-			st.status = stDone
-			return
+// syncOp runs one lock, unlock, barrier, signal or wait for thread t on
+// context c. It returns false when the op ends t's slot: t blocked on it,
+// or it was the last arrival at a barrier and released the parties.
+func (s *Scheduler) syncOp(ex Executor, st *threadState, t vclock.TID, c cache.Context, op program.Op) bool {
+	switch op.Kind {
+	case program.OpLock:
+		m := &s.mutexes[op.Sync]
+		if m.owner != -1 {
+			st.status, st.waitOn = stBlockedMutex, op.Sync
+			return false
 		}
-		op := ops[st.pc]
-		switch op.Kind {
-		case program.OpLock:
-			m := &s.mutexes[op.Sync]
-			if m.owner != -1 {
-				st.status = stBlockedMutex
-				st.waitOn = op.Sync
-				return
-			}
-			m.owner = tid
-			s.exec(ex, tid, ctx, op)
-			st.pc++
-		case program.OpUnlock:
-			m := &s.mutexes[op.Sync]
-			if m.owner != tid {
-				// Validate() rules this out for well-formed programs; a
-				// mutation bug would corrupt state silently, so fail loudly.
-				panic(fmt.Sprintf("sched: t%d unlocks mutex #%d owned by t%d", tid, op.Sync, m.owner))
-			}
-			s.exec(ex, tid, ctx, op)
-			m.owner = -1
-			st.pc++
-			s.wakeAll(stBlockedMutex, op.Sync)
-		case program.OpBarrier:
-			b := &s.bars[op.Sync]
-			b.waiting = append(b.waiting, tid)
-			if len(b.waiting) < s.prog.BarrierParties[op.Sync] {
-				st.status = stBlockedBarrier
-				st.waitOn = op.Sync
-				return
-			}
-			// Last arrival: release everyone.
-			parties := append([]vclock.TID(nil), b.waiting...)
-			sort.Slice(parties, func(i, j int) bool { return parties[i] < parties[j] })
-			b.waiting = b.waiting[:0]
-			s.steps++
-			ex.BarrierRelease(op.Sync, parties)
-			for _, p := range parties {
-				ps := &s.threads[p]
-				ps.status = stReady
-				ps.pc++
-			}
-			// The releasing thread's pc was advanced above; end the slot so
-			// peers get to run promptly.
-			return
-		case program.OpSignal:
-			s.exec(ex, tid, ctx, op)
-			s.sems[op.Sync].count++
-			st.pc++
-			s.wakeAll(stBlockedSem, op.Sync)
-		case program.OpWait:
-			sem := &s.sems[op.Sync]
-			if sem.count == 0 {
-				st.status = stBlockedSem
-				st.waitOn = op.Sync
-				return
-			}
-			sem.count--
-			s.exec(ex, tid, ctx, op)
-			st.pc++
-		default:
-			s.exec(ex, tid, ctx, op)
-			st.pc++
+		m.owner = t
+		s.steps++
+		ex.Exec(t, c, op)
+	case program.OpUnlock:
+		m := &s.mutexes[op.Sync]
+		if m.owner != t {
+			// Validate() rules this out for well-formed programs; a
+			// mutation bug would corrupt state silently, so fail loudly.
+			panic(fmt.Sprintf("sched: t%d unlocks mutex #%d owned by t%d", t, op.Sync, m.owner))
 		}
+		s.steps++
+		ex.Exec(t, c, op)
+		m.owner = -1
+		s.wakeAll(stBlockedMutex, op.Sync)
+	case program.OpBarrier:
+		b := &s.bars[op.Sync]
+		b.waiting = append(b.waiting, t)
+		if len(b.waiting) < s.prog.BarrierParties[op.Sync] {
+			st.status, st.waitOn = stBlockedBarrier, op.Sync
+			return false
+		}
+		// Last arrival: release everyone, the releasing thread included,
+		// and end the slot so peers get to run promptly.
+		parties := slices.Clone(b.waiting)
+		slices.Sort(parties)
+		b.waiting = b.waiting[:0]
+		s.steps++
+		ex.BarrierRelease(op.Sync, parties)
+		for _, p := range parties {
+			ps := &s.threads[p]
+			ps.status = stReady
+			ps.pc++
+		}
+		return false
+	case program.OpSignal:
+		s.steps++
+		ex.Exec(t, c, op)
+		s.sems[op.Sync].count++
+		s.wakeAll(stBlockedSem, op.Sync)
+	case program.OpWait:
+		sem := &s.sems[op.Sync]
+		if sem.count == 0 {
+			st.status, st.waitOn = stBlockedSem, op.Sync
+			return false
+		}
+		sem.count--
+		s.steps++
+		ex.Exec(t, c, op)
 	}
-	if st.pc >= len(ops) {
-		st.status = stDone
-	}
-}
-
-func (s *Scheduler) exec(ex Executor, t vclock.TID, ctx cache.Context, op program.Op) {
-	s.steps++
-	ex.Exec(t, ctx, op)
+	st.pc++
+	return true
 }
 
 // wakeAll moves every thread blocked with the given status on id back to
