@@ -471,15 +471,12 @@ func (m *Manager) Append(id string, seq uint64, data []byte, declaredCRC *uint32
 
 	recvStart := time.Now()
 	decStart := recvStart
-	events, err := s.dec.Feed(data)
-	if err != nil {
+	prevRaces, prevEvents := len(s.live.Races()), s.dec.Decoded()
+	if err := s.dec.Each(data, s.live.OnEvent); err != nil {
 		m.failLocked(s, err)
 		return Ack{}, err
 	}
-	prevRaces := len(s.live.Races())
-	for _, e := range events {
-		s.live.Apply(e)
-	}
+	events := s.dec.Decoded() - prevEvents
 	decDur := time.Since(decStart)
 	if s.hash != nil {
 		s.hash.Write(data)
@@ -491,7 +488,7 @@ func (m *Manager) Append(id string, seq uint64, data []byte, declaredCRC *uint32
 		Name: "incremental_decode", Start: decStart, Dur: decDur,
 		Attrs: []obs.SpanAttr{
 			{Key: "seq", Value: fmt.Sprint(seq)},
-			{Key: "events", Value: fmt.Sprint(len(events))},
+			{Key: "events", Value: fmt.Sprint(events)},
 		},
 	})
 	s.rec.Add(obs.SpanRecord{
@@ -504,7 +501,7 @@ func (m *Manager) Append(id string, seq uint64, data []byte, declaredCRC *uint32
 
 	m.cChunks.Inc()
 	m.cBytes.Add(uint64(len(data)))
-	m.cEvents.Add(uint64(len(events)))
+	m.cEvents.Add(events)
 
 	races := s.live.Races()
 	m.bus.Publish(stream.Event{

@@ -7,16 +7,20 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"demandrace/internal/demand"
 	"demandrace/internal/detector"
 	"demandrace/internal/ingest"
 	"demandrace/internal/obs"
 	"demandrace/internal/obs/stream"
 	"demandrace/internal/program"
+	"demandrace/internal/runner"
 	"demandrace/internal/trace"
 	"demandrace/internal/vclock"
+	"demandrace/internal/workloads"
 )
 
 // racyTrace builds a small trace with one guaranteed write-read race and a
@@ -375,5 +379,39 @@ func TestUnknownSession(t *testing.T) {
 	}
 	if _, err := m.Partial("s-404"); !errors.Is(err, ingest.ErrNoSession) {
 		t.Fatalf("partial: %v", err)
+	}
+}
+
+// TestAppendAllocsBoundedByChunk bounds what applying 64 KiB chunks of a
+// recorded kernel trace allocates: each event goes from the decoder
+// straight into the live replay, so a chunk costs the shadow state its
+// events touch, never a slice of decoded events.
+func TestAppendAllocsBoundedByChunk(t *testing.T) {
+	k, _ := workloads.ByName("streamcluster")
+	cfg := runner.DefaultConfig().WithPolicy(demand.Continuous)
+	rec := trace.NewRecorder("streamcluster")
+	cfg.Tracer = rec
+	if _, err := runner.Run(k.Build(workloads.Config{Threads: 4, Scale: 1}), cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.EncodeBinary(&buf, rec.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	chunks := chunksOf(buf.Bytes(), 64<<10)
+
+	m := newManager(t, ingest.Config{})
+	st, err := m.Open(ingest.OpenOptions{Detector: detector.Options{MaxReportsPerAddr: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	streamIn(t, m, st.Session, chunks)
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(buf.Len())
+	t.Logf("%d chunks, %d bytes: allocated %.2fx the chunk bytes", len(chunks), buf.Len(), ratio)
+	if ratio > 4 {
+		t.Errorf("appending allocated %.2fx the chunk bytes, want at most 4x", ratio)
 	}
 }

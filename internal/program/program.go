@@ -259,11 +259,17 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("%s: unknown op kind", where())
 			}
 		}
+		// Name the lowest held ID: map order would make the message vary
+		// from call to call.
+		lowest := SyncID(-1)
 		for id, n := range held {
-			if n > 0 {
-				return fmt.Errorf("program %q thread %d: mutex #%d still held at exit",
-					p.Name, ti, id)
+			if n > 0 && (lowest < 0 || id < lowest) {
+				lowest = id
 			}
+		}
+		if lowest >= 0 {
+			return fmt.Errorf("program %q thread %d: mutex #%d still held at exit",
+				p.Name, ti, lowest)
 		}
 	}
 	for b, users := range barrierUsers {

@@ -79,6 +79,30 @@ func TestValidateRejectsHeldAtExit(t *testing.T) {
 	}
 }
 
+// TestValidateHeldAtExitIsDeterministic: a thread that exits holding
+// several mutexes gets one message on every call, naming the lowest ID.
+func TestValidateHeldAtExitIsDeterministic(t *testing.T) {
+	var ops []Op
+	for i := 7; i >= 0; i-- {
+		ops = append(ops, Op{Kind: OpLock, Sync: SyncID(i)})
+	}
+	p := &Program{Name: "held-many", Threads: []Thread{{ID: 0, Ops: ops}}, Mutexes: 8}
+	msgs := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		if err := p.Validate(); err != nil {
+			msgs[err.Error()] = true
+		}
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("got %d distinct messages, want 1: %v", len(msgs), msgs)
+	}
+	for msg := range msgs {
+		if !strings.Contains(msg, "mutex #0 still held") {
+			t.Errorf("message %q does not name mutex #0", msg)
+		}
+	}
+}
+
 func TestValidateRejectsBadSyncIDs(t *testing.T) {
 	cases := []func(*Builder, *ThreadBuilder){
 		func(b *Builder, t *ThreadBuilder) { t.Lock(5).Unlock(5) },

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func batchResult(t *testing.T, cl *Client, raw []byte, opts TraceOptions) []byte
 }
 
 // TestFinishedTraceJobDropsRun: once a one-shot trace job has run, the job
-// no longer holds its body, and with it the decoded trace.
+// no longer holds its body, and with it the upload's bytes.
 func TestFinishedTraceJobDropsRun(t *testing.T) {
 	s, _, cl := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
 	raw := recordKernelTrace(t, "racy_flag")
@@ -72,6 +73,39 @@ func TestFinishedTraceJobDropsRun(t *testing.T) {
 		if j.run != nil {
 			t.Errorf("finished job %s still holds its run closure", id)
 		}
+	}
+}
+
+// TestQueuedTraceJobMemory bounds what a one-shot trace upload costs while
+// its job waits in the queue: the submit-time check keeps no events, so a
+// queued job holds its upload's bytes and little else, and admitting it
+// allocates a small multiple of them. The server is never started, so
+// every job stays queued.
+func TestQueuedTraceJobMemory(t *testing.T) {
+	raw := recordKernelTrace(t, "streamcluster")
+	const jobs = 8
+	s := NewServer(Config{Workers: 1, QueueDepth: jobs, CacheEntries: -1})
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		if _, err := s.SubmitTrace(ctx, bytes.NewReader(raw), TraceOptions{}); err != nil {
+			t.Fatalf("SubmitTrace %d: %v", i, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	per := float64(jobs * len(raw))
+	held := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / per
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / per
+	t.Logf("%d-byte upload: %.2fx held per queued job, %.2fx allocated per submit", len(raw), held, allocated)
+	if held > 2 {
+		t.Errorf("a queued job holds %.2fx its upload, want at most 2x", held)
+	}
+	if allocated > 8 {
+		t.Errorf("a submit allocates %.2fx its upload, want at most 8x", allocated)
 	}
 }
 
@@ -95,6 +129,31 @@ func TestOutOfRangeIDsAnswer413(t *testing.T) {
 	_, err = cl.PutChunk(ctx, ts.Session, 0, raw)
 	if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("chunk PUT: %v, want 413", err)
+	}
+}
+
+// TestMalformedUploadsAnswer400: bytes the decoder cannot parse are a bad
+// request on both upload paths, the one-shot one refusing them at submit.
+func TestMalformedUploadsAnswer400(t *testing.T) {
+	raw := recordKernelTrace(t, "racy_flag")
+	_, _, cl := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	for name, body := range map[string][]byte{
+		"bad magic":     append([]byte("NOPE"), raw[4:]...),
+		"trailing byte": append(append([]byte(nil), raw...), 0),
+	} {
+		_, err := cl.SubmitTrace(ctx, bytes.NewReader(body), TraceOptions{})
+		if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusBadRequest {
+			t.Errorf("%s: POST /v1/jobs: %v, want 400", name, err)
+		}
+		ts, err := cl.OpenTrace(ctx, TraceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cl.PutChunk(ctx, ts.Session, 0, body)
+		if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusBadRequest {
+			t.Errorf("%s: chunk PUT: %v, want 400", name, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -418,10 +417,12 @@ func (s *Server) Submit(ctx context.Context, req Request) (Status, error) {
 	return s.admit(ctx, j)
 }
 
-// SubmitTrace decodes an uploaded binary trace under the server's limits
+// SubmitTrace checks an uploaded binary trace under the server's limits
 // and admits a replay job. Oversized or malformed uploads fail here, before
 // anything is queued; a *trace.LimitError is returned as-is so the HTTP
-// layer can answer 413.
+// layer can answer 413. The check decodes without keeping events: the job
+// holds only the upload's bytes, and its worker decodes them again
+// straight into the replay.
 func (s *Server) SubmitTrace(ctx context.Context, r io.Reader, opts TraceOptions) (Status, error) {
 	rec := obs.NewSpanRecorder(s.cfg.Node, 0)
 	decStart := time.Now()
@@ -429,20 +430,19 @@ func (s *Server) SubmitTrace(ctx context.Context, r io.Reader, opts TraceOptions
 	if err != nil {
 		return Status{}, err
 	}
-	tr, err := trace.DecodeBinaryLimited(bytes.NewReader(raw), trace.DecodeLimits{
-		MaxEvents: s.cfg.MaxTraceEvents,
-		MaxBytes:  s.cfg.MaxTraceBytes,
-	})
+	lim := trace.DecodeLimits{MaxEvents: s.cfg.MaxTraceEvents, MaxBytes: s.cfg.MaxTraceBytes}
+	events := 0
+	prog, err := trace.DecodeEach(raw, lim, func(*trace.Event) { events++ })
 	if err != nil {
 		return Status{}, fmt.Errorf("service: decoding uploaded trace: %w", err)
 	}
 	rec.Add(obs.SpanRecord{
 		Name: "trace_decode", Start: decStart, Dur: time.Since(decStart),
-		Attrs: []obs.SpanAttr{{Key: "events", Value: fmt.Sprint(len(tr.Events))}},
+		Attrs: []obs.SpanAttr{{Key: "events", Value: fmt.Sprint(events)}},
 	})
 	j := &Job{
 		kind:    "trace",
-		name:    tr.Program,
+		name:    prog,
 		key:     TraceCacheKey(raw, opts),
 		timeout: s.timeoutFor(opts.TimeoutMS),
 		done:    make(chan struct{}),
@@ -454,8 +454,11 @@ func (s *Server) SubmitTrace(ctx context.Context, r io.Reader, opts TraceOptions
 				return nil, err
 			}
 			_, span := obs.StartSpan(ctx, "analysis")
-			res := replay(tr, opts, s.reg)
+			res, err := replay(raw, lim, opts, s.reg)
 			span.End()
+			if err != nil {
+				return nil, err
+			}
 			_, rspan := obs.StartSpan(ctx, "render")
 			data, err := json.Marshal(res)
 			rspan.End()
@@ -628,7 +631,7 @@ func (s *Server) execute(j *Job) {
 
 	s.mu.Lock()
 	// The body has run; dropping it frees what it captured (a trace job's
-	// decoded trace) for as long as the job stays listed.
+	// upload bytes) for as long as the job stays listed.
 	j.run = nil
 	switch {
 	case err == nil:

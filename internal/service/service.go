@@ -304,13 +304,22 @@ func replayResultFrom(s trace.Summary, det *detector.Detector) ReplayResult {
 	}
 }
 
-// replay runs the trace-replay job body. Detector work counters are
-// published into reg (nil-safe) so replay jobs show up in the same
-// ddrace_detector_* exposition series as full simulation runs.
-func replay(tr *trace.Trace, opts TraceOptions, reg *obs.Registry) ReplayResult {
-	det := trace.Replay(tr, detectorOptions(opts))
+// replay runs the trace-replay job body: it decodes raw under lim straight
+// into a LiveReplay, the streamed path's replay, so no event outlives its
+// decoding. Detector work counters are published into reg (nil-safe) so
+// replay jobs show up in the same ddrace_detector_* exposition series as
+// full simulation runs.
+func replay(raw []byte, lim trace.DecodeLimits, opts TraceOptions, reg *obs.Registry) (ReplayResult, error) {
+	live := trace.NewLiveReplay(detectorOptions(opts))
+	prog, err := trace.DecodeEach(raw, lim, live.OnEvent)
+	if err != nil {
+		return ReplayResult{}, fmt.Errorf("service: replaying uploaded trace: %w", err)
+	}
+	det := live.Detector()
 	runner.PublishDetectorStats(reg, det.Stats())
-	return replayResultFrom(trace.Summarize(tr), det)
+	sum := live.Summary()
+	sum.Program = prog
+	return replayResultFrom(sum, det), nil
 }
 
 // Job is the service's unit of work. Fields are mutated only under the

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"demandrace/internal/demand"
 	"demandrace/internal/detector"
 	"demandrace/internal/trace"
+	"demandrace/internal/vclock"
 )
 
 // FuzzDecodeBinary asserts the binary decoder never panics and never
@@ -51,7 +53,10 @@ func FuzzDecodeBinary(f *testing.F) {
 // FuzzStreamDecode splits data at seeded random chunk boundaries and holds
 // the streamed path to the one-shot one: both decoders fail, or both yield
 // the same events, and then a chunk-by-chunk LiveReplay ends with the
-// reports and stats of a batch Replay and of a pre-sized detector.
+// reports and stats of a batch Replay and of a pre-sized detector. Each
+// over the same splits must hand out exactly Feed's events, Seq included,
+// and DecodeEach must agree with the one-shot decoder on the program name,
+// the events and the error.
 func FuzzStreamDecode(f *testing.F) {
 	tr := recordedTrace(&testing.T{}, "racy_flag", demand.Continuous)
 	var buf bytes.Buffer
@@ -64,16 +69,25 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add(craftedTrace(65533, 0), int64(3))
 	f.Add(craftedTrace(1<<32-1, 0), int64(4))
 	f.Add(craftedTrace(0, 1<<31), int64(5))
+	f.Add(encodeTrace(&testing.T{}, barrierTrace(func(set []vclock.TID) []vclock.TID { return set })), int64(6))
 
 	opt := detector.Options{MaxReportsPerAddr: -1}
 	f.Fuzz(func(t *testing.T, data []byte, splitSeed int64) {
 		want, batchErr := trace.DecodeBinary(bytes.NewReader(data))
+		var oneShot []trace.Event
+		prog, oneShotErr := trace.DecodeEach(data, trace.DefaultDecodeLimits, func(e *trace.Event) {
+			oneShot = append(oneShot, *e)
+		})
+		if fmt.Sprint(oneShotErr) != fmt.Sprint(batchErr) {
+			t.Fatalf("DecodeEach error %v, DecodeBinary error %v", oneShotErr, batchErr)
+		}
 
 		rng := rand.New(rand.NewSource(splitSeed))
 		dec := trace.NewStreamDecoder(trace.DefaultDecodeLimits)
+		eachDec := trace.NewStreamDecoder(trace.DefaultDecodeLimits)
 		live := trace.NewLiveReplay(opt)
-		var events []trace.Event
-		var streamErr error
+		var events, eachEvents []trace.Event
+		var streamErr, eachErr error
 		for off := 0; off < len(data) && streamErr == nil; {
 			end := min(len(data), off+1+rng.Intn(1<<rng.Intn(12)))
 			var evs []trace.Event
@@ -82,7 +96,16 @@ func FuzzStreamDecode(f *testing.F) {
 				live.Apply(e)
 			}
 			events = append(events, evs...)
+			eachErr = eachDec.Each(data[off:end], func(e *trace.Event) {
+				eachEvents = append(eachEvents, *e)
+			})
+			if fmt.Sprint(eachErr) != fmt.Sprint(streamErr) {
+				t.Fatalf("Each error %v, Feed error %v", eachErr, streamErr)
+			}
 			off = end
+		}
+		if !reflect.DeepEqual(eachEvents, events) {
+			t.Fatal("Each handed out different events from Feed")
 		}
 		if streamErr == nil {
 			streamErr = dec.Finish()
@@ -92,6 +115,9 @@ func FuzzStreamDecode(f *testing.F) {
 		}
 		if batchErr != nil {
 			return
+		}
+		if prog != want.Program || !reflect.DeepEqual(oneShot, want.Events) {
+			t.Fatal("DecodeEach differs from the one-shot decode")
 		}
 		if dec.Program() != want.Program || !reflect.DeepEqual(events, want.Events) {
 			t.Fatal("streamed events differ from the one-shot decode")
@@ -116,8 +142,8 @@ func FuzzStreamDecode(f *testing.F) {
 func presizedReplay(tr *trace.Trace, opt detector.Options) *detector.Detector {
 	threads, mutexes, sems := tr.Dims()
 	det := detector.New(threads, mutexes, sems, opt)
-	for _, e := range tr.Events {
-		trace.ApplyEvent(det, e)
+	for i := range tr.Events {
+		trace.ApplyEvent(det, &tr.Events[i])
 	}
 	return det
 }

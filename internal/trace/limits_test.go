@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"demandrace/internal/program"
@@ -82,5 +84,44 @@ func TestDecodeBinaryDefaultLimitsRoundTrip(t *testing.T) {
 	}
 	if got.Program != tr.Program || len(got.Events) != len(tr.Events) {
 		t.Fatalf("round trip lost data: %d events vs %d", len(got.Events), len(tr.Events))
+	}
+}
+
+// TestDecodeEachAllocsIndependentOfLength: a pass over a trace with no
+// marks or barriers allocates per trace, never per event, because every
+// event is handed out through the decoder's own Event.
+func TestDecodeEachAllocsIndependentOfLength(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{1, 100, 10000} {
+		raw := encodeTrace(t, limitsTestTrace(n))
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			if _, err := DecodeEach(raw, DefaultDecodeLimits, func(*Event) {}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[1] != allocs[2] {
+		t.Fatalf("allocations for 1, 100 and 10000 events: %v, want all equal", allocs)
+	}
+}
+
+// TestDecodeLyingCountAllocatesLittle: a 40-byte body declaring 2^22
+// events fails without reserving room for the declared count.
+func TestDecodeLyingCountAllocatesLittle(t *testing.T) {
+	raw := append([]byte("DRT1"), 1, 'x')
+	raw = binary.AppendUvarint(raw, 1<<22)
+	for len(raw)+minEventBytes <= 40 {
+		raw = append(raw, flagAnalyzed, byte(program.OpLoad), 0, 0, 64, 0, 0)
+	}
+	raw = append(raw, make([]byte, 40-len(raw))...) // a partial fifth event
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinary(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body short of its declared events decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("decoding %d bytes allocated %d bytes, want under 64 KiB", len(raw), got)
 	}
 }

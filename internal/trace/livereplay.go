@@ -20,7 +20,12 @@ func NewLiveReplay(opt detector.Options) *LiveReplay {
 }
 
 // Apply feeds one event. Events must arrive in trace order.
-func (l *LiveReplay) Apply(e Event) {
+func (l *LiveReplay) Apply(e Event) { l.OnEvent(&e) }
+
+// OnEvent is Apply without copying the event, shaped to be the callback of
+// StreamDecoder.Each and DecodeEach: a trace decodes straight into the
+// replay. It does not retain e.
+func (l *LiveReplay) OnEvent(e *Event) {
 	ApplyEvent(l.det, e)
 	l.sum.Add(e)
 }

@@ -12,26 +12,32 @@ import (
 )
 
 // StreamDecoder is the DRT1 decoder. It accepts the byte stream in
-// arbitrary fragments (down to one byte at a time) and yields events as
-// soon as they are complete; DecodeBinaryLimited is one Feed of the whole
-// input. It enforces DecodeLimits and the ID bounds with typed *LimitError
-// values, which the HTTP layer maps to 413, and numbers events 1, 2, … in
-// Seq.
+// arbitrary fragments (down to one byte at a time) and hands out events as
+// soon as they are complete. Each is its one parse loop: Feed is Each
+// collecting copies, DecodeEach and DecodeBinaryLimited are one Each over
+// the whole input. It enforces DecodeLimits and the ID bounds with typed
+// *LimitError values, which the HTTP layer maps to 413, and numbers events
+// 1, 2, … in Seq.
 //
-// Errors are sticky: once Feed or Finish fails, every later call returns
-// the same error. Bytes past the declared event count are an error: on an
-// upload they mean a client bug worth surfacing, not padding worth
-// ignoring.
+// Errors are sticky: once Each, Feed or Finish fails, every later call
+// returns the same error. Bytes past the declared event count are an
+// error: on an upload they mean a client bug worth surfacing, not padding
+// worth ignoring.
 type StreamDecoder struct {
 	lim DecodeLimits
 
 	buf []byte // unconsumed bytes: at most one partial header or event
-	fed int64  // total bytes accepted across all Feeds
+	fed int64  // total bytes accepted across all calls
 
 	headerDone bool
 	program    string
 	declared   uint64 // event count from the header
 	decoded    uint64
+
+	// ev is the event Each hands to its callback, overwritten by every
+	// event. It lives in the decoder, which is on the heap already, so
+	// handing it to a func value allocates nothing.
+	ev Event
 
 	err error
 }
@@ -45,7 +51,7 @@ func NewStreamDecoder(lim DecodeLimits) *StreamDecoder {
 // Program returns the trace's program name ("" until the header parses).
 func (d *StreamDecoder) Program() string { return d.program }
 
-// Decoded returns how many events have been yielded so far.
+// Decoded returns how many events have been handed out so far.
 func (d *StreamDecoder) Decoded() uint64 { return d.decoded }
 
 // Declared returns the event count the header promised (0 until the
@@ -64,16 +70,21 @@ func (d *StreamDecoder) fail(err error) error {
 	return err
 }
 
-// Feed appends p to the stream and returns every event completed by it.
-// Events already returned are never re-returned; a fragment that ends
-// mid-event is buffered until the rest arrives. p is not retained.
-func (d *StreamDecoder) Feed(p []byte) ([]Event, error) {
+// Each appends p to the stream and calls fn on every event completed by
+// it, in stream order. The *Event is the decoder's own and is overwritten
+// by the next event, so fn must copy whatever it keeps; the Parties and
+// Str it points to are never reused. Events already handed out are never
+// handed out again; a fragment that ends mid-event is buffered until the
+// rest arrives. p is not retained. The byte cap is checked before any of
+// p is parsed; a malformed event fails after fn has seen the ones before
+// it.
+func (d *StreamDecoder) Each(p []byte, fn func(*Event)) error {
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	d.fed += int64(len(p))
 	if d.lim.MaxBytes > 0 && d.fed > d.lim.MaxBytes {
-		return nil, d.fail(&LimitError{What: "bytes", Limit: uint64(d.lim.MaxBytes), Got: uint64(d.lim.MaxBytes)})
+		return d.fail(&LimitError{What: "bytes", Limit: uint64(d.lim.MaxBytes), Got: uint64(d.lim.MaxBytes)})
 	}
 	// Parse p in place unless a partial event is waiting for its rest.
 	b := p
@@ -82,13 +93,12 @@ func (d *StreamDecoder) Feed(p []byte) ([]Event, error) {
 		b = d.buf
 	}
 
-	var out []Event
 	off := 0
 	for {
 		if !d.headerDone {
 			n, err := d.parseHeader(b[off:])
 			if err != nil {
-				return out, d.fail(err)
+				return d.fail(err)
 			}
 			if n == 0 {
 				break // need more bytes
@@ -98,29 +108,52 @@ func (d *StreamDecoder) Feed(p []byte) ([]Event, error) {
 		}
 		if d.decoded == d.declared {
 			if off < len(b) {
-				return out, d.fail(fmt.Errorf("trace: %d bytes past the declared %d events",
+				return d.fail(fmt.Errorf("trace: %d bytes past the declared %d events",
 					len(b)-off, d.declared))
 			}
 			break
 		}
-		ev, n, err := parseEvent(b[off:])
+		n, err := parseEvent(b[off:], &d.ev)
 		if err != nil {
-			return out, d.fail(err)
+			return d.fail(err)
 		}
 		if n == 0 {
 			break // need more bytes
 		}
 		off += n
 		d.decoded++
-		ev.Seq = d.decoded
-		out = append(out, ev)
+		d.ev.Seq = d.decoded
+		fn(&d.ev)
 	}
 	// Keep only the unconsumed tail, in the decoder's own buffer (which
 	// already holds it when b is that buffer and nothing was consumed).
 	if off > 0 || len(d.buf) == 0 {
 		d.buf = append(d.buf[:0], b[off:]...)
 	}
-	return out, nil
+	return nil
+}
+
+// Feed is Each returning copies of the events p completes. On error it
+// returns the events before the failing one with the error.
+func (d *StreamDecoder) Feed(p []byte) ([]Event, error) {
+	var out []Event
+	err := d.Each(p, func(e *Event) { out = append(out, *e) })
+	return out, err
+}
+
+// DecodeEach decodes the whole trace in raw under lim, calling fn on each
+// event as Each does, and returns the program name. It accepts and
+// rejects exactly what DecodeBinaryLimited does, with the same errors,
+// without holding the events: fn decides what each one costs.
+func DecodeEach(raw []byte, lim DecodeLimits, fn func(*Event)) (string, error) {
+	d := NewStreamDecoder(lim)
+	if err := d.Each(raw, fn); err != nil {
+		return "", err
+	}
+	if err := d.Finish(); err != nil {
+		return "", err
+	}
+	return d.Program(), nil
 }
 
 // Finish declares the stream complete. It fails if the input ended inside
@@ -182,93 +215,106 @@ func (d *StreamDecoder) parseHeader(b []byte) (consumed int, err error) {
 	return off, nil
 }
 
-// parseEvent tries to parse one encoded event from b. It is the only
-// parser of an encoded event. Returns consumed == 0 when b ends mid-event;
-// errors are terminal.
-func parseEvent(b []byte) (Event, int, error) {
+// parseEvent tries to parse one encoded event from b into e. It is the
+// only parser of an encoded event. Returns consumed == 0 when b ends
+// mid-event; errors are terminal. It writes e only when an event
+// completes, and leaves Seq to the caller.
+func parseEvent(b []byte, e *Event) (int, error) {
 	if len(b) < 2 {
-		return Event{}, 0, nil
+		return 0, nil
 	}
 	flags, kind := b[0], b[1]
 	off := 2
 	var vals [5]uint64
 	for j := range vals {
+		if off < len(b) && b[off] < 0x80 { // most fields take one byte
+			vals[j] = uint64(b[off])
+			off++
+			continue
+		}
 		v, n := binary.Uvarint(b[off:])
 		if n == 0 {
-			return Event{}, 0, nil
+			return 0, nil
 		}
 		if n < 0 {
-			return Event{}, 0, errors.New("trace: malformed event field")
+			return 0, errors.New("trace: malformed event field")
 		}
 		vals[j] = v
 		off += n
 	}
-	if err := checkIDs(vals[0], vals[3], nil); err != nil {
-		return Event{}, 0, err
+	if err := checkID("thread id", vals[0], maxThreadID); err != nil {
+		return 0, err
 	}
-	e := Event{
-		Kind:     program.Kind(kind),
-		HITM:     flags&flagHITM != 0,
-		Analyzed: flags&flagAnalyzed != 0,
-		TID:      vclock.TID(vals[0]),
-		Ctx:      cache.Context(vals[1]),
-		Addr:     mem.Addr(vals[2]),
-		Sync:     program.SyncID(vals[3]),
-		N:        vals[4],
+	if err := checkID("sync id", vals[3], maxSyncID); err != nil {
+		return 0, err
 	}
+	var parties []vclock.TID
 	if flags&flagBarrier != 0 {
 		np, n := binary.Uvarint(b[off:])
 		if n == 0 {
-			return Event{}, 0, nil
+			return 0, nil
 		}
 		if n < 0 {
-			return Event{}, 0, errors.New("trace: malformed barrier party count")
+			return 0, errors.New("trace: malformed barrier party count")
 		}
 		off += n
 		if np > maxParties {
-			return Event{}, 0, &LimitError{What: "barrier parties", Limit: maxParties, Got: np}
+			return 0, &LimitError{What: "barrier parties", Limit: maxParties, Got: np}
 		}
 		// Scan the parties before allocating them: an event still waiting
-		// for its last bytes is re-parsed on every Feed, and must not
+		// for its last bytes is re-parsed on every Each, and must not
 		// allocate each time.
 		first := off
 		for j := uint64(0); j < np; j++ {
 			v, n := binary.Uvarint(b[off:])
 			if n == 0 {
-				return Event{}, 0, nil
+				return 0, nil
 			}
 			if n < 0 {
-				return Event{}, 0, errors.New("trace: malformed barrier party")
+				return 0, errors.New("trace: malformed barrier party")
 			}
 			if err := checkID("thread id", v, maxThreadID); err != nil {
-				return Event{}, 0, err
+				return 0, err
 			}
 			off += n
 		}
-		e.Parties = make([]vclock.TID, np)
-		for j := range e.Parties {
+		parties = make([]vclock.TID, np)
+		for j := range parties {
 			v, n := binary.Uvarint(b[first:])
-			e.Parties[j] = vclock.TID(v)
+			parties[j] = vclock.TID(v)
 			first += n
 		}
 	}
+	var str string
 	if flags&flagStr != 0 {
 		sl, n := binary.Uvarint(b[off:])
 		if n == 0 {
-			return Event{}, 0, nil
+			return 0, nil
 		}
 		if n < 0 {
-			return Event{}, 0, errors.New("trace: malformed label length")
+			return 0, errors.New("trace: malformed label length")
 		}
 		off += n
 		if sl > maxStrLen {
-			return Event{}, 0, &LimitError{What: "label", Limit: maxStrLen, Got: sl}
+			return 0, &LimitError{What: "label", Limit: maxStrLen, Got: sl}
 		}
 		if uint64(len(b)-off) < sl {
-			return Event{}, 0, nil
+			return 0, nil
 		}
-		e.Str = string(b[off : off+int(sl)])
+		str = string(b[off : off+int(sl)])
 		off += int(sl)
 	}
-	return e, off, nil
+	// Field by field: assigning a composite literal builds it on the stack
+	// and copies it, which took 15% of a parse-only pass.
+	e.Kind = program.Kind(kind)
+	e.HITM = flags&flagHITM != 0
+	e.Analyzed = flags&flagAnalyzed != 0
+	e.TID = vclock.TID(vals[0])
+	e.Ctx = cache.Context(vals[1])
+	e.Addr = mem.Addr(vals[2])
+	e.Sync = program.SyncID(vals[3])
+	e.N = vals[4]
+	e.Parties = parties
+	e.Str = str
+	return off, nil
 }

@@ -104,17 +104,17 @@ func (r *Recorder) Trace() *Trace { return &r.tr }
 // detector grows to the trace's threads and sync objects as they appear.
 func Replay(tr *Trace, opt detector.Options) *detector.Detector {
 	l := NewLiveReplay(opt)
-	for _, e := range tr.Events {
-		l.Apply(e)
+	for i := range tr.Events {
+		l.OnEvent(&tr.Events[i])
 	}
 	return l.Detector()
 }
 
 // ApplyEvent feeds one event into det: mark events always set the region,
 // everything else is gated on the event having been analyzed. This is the
-// single event→detector mapping; LiveReplay.Apply, and through it Replay,
-// is built on it.
-func ApplyEvent(det *detector.Detector, e Event) {
+// single event→detector mapping; LiveReplay.OnEvent, and through it Apply
+// and Replay, is built on it.
+func ApplyEvent(det *detector.Detector, e *Event) {
 	if e.Kind == program.OpMark {
 		det.SetRegion(e.TID, e.Str)
 		return
@@ -158,15 +158,15 @@ type Summary struct {
 // Summarize computes a trace's Summary.
 func Summarize(tr *Trace) Summary {
 	s := Summary{Program: tr.Program}
-	for _, e := range tr.Events {
-		s.Add(e)
+	for i := range tr.Events {
+		s.Add(&tr.Events[i])
 	}
 	return s
 }
 
 // Add counts one more event into s. Threads is one past the largest thread
 // ID any event or barrier party names, as in Trace.Dims.
-func (s *Summary) Add(e Event) {
+func (s *Summary) Add(e *Event) {
 	s.Events++
 	s.ByKind[e.Kind]++
 	if e.HITM {
@@ -217,6 +217,10 @@ const (
 	flagBarrier  = 1 << 2
 	flagStr      = 1 << 3
 )
+
+// minEventBytes is the shortest encoded event: flags, kind and five
+// one-byte varints.
+const minEventBytes = 7
 
 // EncodeBinary writes the trace in the compact varint format.
 func EncodeBinary(w io.Writer, tr *Trace) error {
@@ -348,7 +352,7 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 
 // DecodeBinaryLimited reads a trace written by EncodeBinary, refusing input
 // that exceeds lim with a *LimitError. It reads at most one byte past
-// MaxBytes and hands the input to a StreamDecoder in one Feed, so a
+// MaxBytes and hands the input to a StreamDecoder in one Each, so a
 // one-shot decode and a streamed decode of the same bytes are the same
 // parse: they accept the same inputs, fail on the same inputs (including
 // bytes past the declared events), and yield the same events.
@@ -361,7 +365,15 @@ func DecodeBinaryLimited(r io.Reader, lim DecodeLimits) (*Trace, error) {
 		return nil, fmt.Errorf("trace: reading input: %w", err)
 	}
 	d := NewStreamDecoder(lim)
-	events, err := d.Feed(raw)
+	var events []Event
+	err = d.Each(raw, func(e *Event) {
+		if events == nil {
+			// Reserve once. The declared count is untrusted, but every
+			// event takes at least minEventBytes of raw.
+			events = make([]Event, 0, min(d.Declared(), uint64(len(raw)/minEventBytes)))
+		}
+		events = append(events, *e)
+	})
 	if err == nil {
 		err = d.Finish()
 	}
