@@ -32,7 +32,8 @@
 //
 // The -watch and -alerts tails survive dropped connections: they reconnect
 // with backoff and send Last-Event-ID so the server replays missed events
-// from its retained ring.
+// from its retained ring, and they follow a restarted server from its
+// first event.
 //
 // Wall-clock diagnostics (the batch timing table, structured progress
 // lines) go to stderr through a leveled logger; -log-level=error silences
@@ -44,7 +45,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"demandrace"
-	"demandrace/internal/cache"
 	"demandrace/internal/demand"
 	"demandrace/internal/obs"
 	olog "demandrace/internal/obs/log"
@@ -65,7 +64,6 @@ import (
 	"demandrace/internal/parallel"
 	"demandrace/internal/prof"
 	"demandrace/internal/report"
-	"demandrace/internal/sched"
 	"demandrace/internal/service"
 	"demandrace/internal/stats"
 	"demandrace/internal/trace"
@@ -180,6 +178,18 @@ func run(args []string, out, diag io.Writer) error {
 	if *streamIn != "" && *submitURL == "" {
 		return fmt.Errorf("-stream needs -submit (local traces replay with ddreplay)")
 	}
+	// One request describes the run whether it is submitted or run here, so
+	// a local run analyzes exactly what the daemon would.
+	req := service.Request{
+		Kernel: *kernel, Threads: *threads, Scale: *scale,
+		Policy: *policy, Scope: *scope,
+		Cores: *cores, SMT: *smt, Prefetch: *prefetch, MOESI: *moesi,
+		SampleAfter: *sav, Skid: *skid,
+		QuietOps: *quiet, Adaptive: *adaptive, SampleRate: *rate, WatchCap: *watchcap,
+		Seed: *seed, Random: *random,
+		Lockset: *lockset, Deadlock: *deadlockF, FullVC: *fullvc,
+		Profile: *profOut != "", ProfileEvery: *profEvery,
+	}
 	if *submitURL != "" {
 		if *streamIn != "" {
 			opts := service.TraceOptions{FullVC: *fullvc, MaxReports: -1}
@@ -191,57 +201,18 @@ func run(args []string, out, diag io.Writer) error {
 		if *kernel == "" {
 			return fmt.Errorf("-submit needs -kernel (batch submission is not supported)")
 		}
-		req := service.Request{
-			Kernel: *kernel, Threads: *threads, Scale: *scale,
-			Policy: *policy, Scope: *scope,
-			Cores: *cores, SMT: *smt, Prefetch: *prefetch, MOESI: *moesi,
-			SampleAfter: *sav, Skid: *skid,
-			QuietOps: *quiet, Adaptive: *adaptive, SampleRate: *rate, WatchCap: *watchcap,
-			Seed: *seed, Random: *random,
-			Lockset: *lockset, Deadlock: *deadlockF, FullVC: *fullvc,
-			Profile: *profOut != "", ProfileEvery: *profEvery,
-		}
 		return submitRemote(out, lg, *submitURL, *apiKey, req, *asJSON, *verbose, *profOut, *saveTrace)
 	}
 
-	cfg := demandrace.DefaultConfig()
-	cfg.Cache.Cores = *cores
-	cfg.Cache.SMT = *smt
-	cfg.Cache.NextLinePrefetch = *prefetch
-	if *moesi {
-		cfg.Cache.Protocol = cache.MOESI
-	}
-	cfg.PMU.SampleAfter = *sav
-	cfg.PMU.Skid = *skid
-	cfg.PMU.Seed = *seed
-	cfg.Demand.QuietOps = *quiet
-	cfg.Demand.SampleRate = *rate
-	cfg.Demand.Seed = *seed
-	cfg.Demand.WatchCapacity = *watchcap
-	cfg.Demand.Adaptive = *adaptive
-	cfg.Lockset = *lockset
-	cfg.Deadlock = *deadlockF
-	cfg.Detector.FullVC = *fullvc
-	cfg.Sched.Seed = *seed
-	if *random {
-		cfg.Sched.Policy = sched.RandomInterleave
-	}
-	sc, err := parseScope(*scope)
+	cfg, kc, err := req.Config()
 	if err != nil {
 		return err
 	}
-	cfg.Demand.Scope = sc
-
 	if *batch != "" {
 		if *traceOut != "" || *eventsOut != "" || *recordOut != "" || *profOut != "" {
 			return fmt.Errorf("-trace/-events/-record/-profile apply to single-kernel runs; drop them or use -kernel")
 		}
-		pol, err := parsePolicy(*policy)
-		if err != nil {
-			return err
-		}
-		return runBatch(out, timingDiag, *batch, cfg.WithPolicy(pol),
-			demandrace.KernelConfig{Threads: *threads, Scale: *scale}, *workersF, *metricsF)
+		return runBatch(out, timingDiag, *batch, cfg, kc, *workersF, *metricsF)
 	}
 
 	if *kernel == "" {
@@ -251,7 +222,7 @@ func run(args []string, out, diag io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown kernel %q (use -list)", *kernel)
 	}
-	p := k.Build(demandrace.KernelConfig{Threads: *threads, Scale: *scale})
+	p := k.Build(kc)
 
 	var injections []demandrace.Injection
 	if *injectN > 0 {
@@ -272,20 +243,11 @@ func run(args []string, out, diag io.Writer) error {
 		}
 		return comparePolicies(out, p, cfg, *verbose, *metricsF)
 	}
-
-	pol, err := parsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	cfg = cfg.WithPolicy(pol)
 	if *explore > 0 {
 		if *profOut != "" {
 			return fmt.Errorf("-profile applies to a single run; drop -explore")
 		}
 		return exploreSchedules(out, p, cfg, *explore, *workersF)
-	}
-	if *profOut != "" {
-		cfg.Prof = prof.New(*profEvery)
 	}
 	if *recordOut != "" {
 		cfg.Tracer = demandrace.NewTraceRecorder(p.Name)
@@ -544,107 +506,30 @@ func printReplayResult(out io.Writer, rr *service.ReplayResult, verbose bool) {
 // deterministic, which is why it is a standalone mode that never mixes
 // with report output. Ctrl-C (or reaching count) ends the tail cleanly.
 //
-// A dropped connection is not fatal: the tail reconnects with exponential
-// backoff (500ms doubling to 5s, reset once events flow again), sending
-// Last-Event-ID so the server replays what the outage missed from its
-// retained ring. Only an HTTP error status — a server that is up but says
-// no — ends the tail with an error.
+// stream.Follow carries the tail across dropped connections and server
+// restarts; only an HTTP error status (a server that is up but says no)
+// ends it with an error.
 func watchEvents(out io.Writer, base string, count int, keep func(stream.Event) bool) error {
-	url := strings.TrimRight(base, "/") + "/v1/events"
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-
-	const (
-		backoffMin = 500 * time.Millisecond
-		backoffMax = 5 * time.Second
-	)
-	var (
-		enc     = json.NewEncoder(out)
-		printed = 0
-		lastSeq uint64 // highest stamped Seq seen, for resume
-		resumed = false
-		backoff = backoffMin
-		conns   = 0
-	)
-	for {
-		conns++
-		err := func() error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-			if err != nil {
-				return err
-			}
-			if resumed {
-				req.Header.Set("Last-Event-ID", fmt.Sprint(lastSeq))
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return &watchHTTPError{url: url, status: resp.StatusCode}
-			}
-			dec := stream.NewDecoder(resp.Body)
-			for {
-				ev, err := dec.Next()
-				if err != nil {
-					return err
-				}
-				backoff = backoffMin // events flow: the link is healthy
-				if ev.Type == stream.TypeHello && conns > 1 {
-					continue // one greeting per tail, not per reconnect
-				}
-				if ev.Seq > 0 {
-					// A replayed event can arrive twice across a
-					// reconnect race; the Seq watermark dedups it.
-					if resumed && ev.Seq <= lastSeq {
-						continue
-					}
-					lastSeq, resumed = ev.Seq, true
-				}
-				if keep != nil && !keep(ev) {
-					continue
-				}
-				if err := enc.Encode(ev); err != nil {
-					return err
-				}
-				if printed++; count > 0 && printed >= count {
-					return errWatchDone
-				}
-			}
-		}()
-		switch {
-		case ctx.Err() != nil:
-			return nil // interrupted: a clean end to a tail
-		case err == errWatchDone:
+	enc := json.NewEncoder(out)
+	printed := 0
+	err := stream.Follow(ctx, http.DefaultClient, strings.TrimRight(base, "/")+"/v1/events", func(ev stream.Event) error {
+		if keep != nil && !keep(ev) {
 			return nil
-		case errors.As(err, new(*watchHTTPError)):
-			return err // the server answered and refused; retrying won't help
 		}
-		// Transport-level drop (dial failure, reset, EOF): wait and retry.
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(backoff):
+		if err := enc.Encode(ev); err != nil {
+			return err
 		}
-		if backoff *= 2; backoff > backoffMax {
-			backoff = backoffMax
+		if printed++; count > 0 && printed >= count {
+			cancel()
 		}
+		return nil
+	})
+	if ctx.Err() != nil {
+		return nil // interrupted or done: a clean end to a tail
 	}
-}
-
-// errWatchDone ends the tail loop when -watch-count is satisfied.
-var errWatchDone = errors.New("watch count reached")
-
-// watchHTTPError is a server-side refusal (non-200), which unlike a
-// transport drop is not worth retrying.
-type watchHTTPError struct {
-	url    string
-	status int
-}
-
-func (e *watchHTTPError) Error() string {
-	return fmt.Sprintf("event tail: %s answered %d", e.url, e.status)
+	return err
 }
 
 func printReport(out io.Writer, rep *demandrace.Report, verbose bool) {

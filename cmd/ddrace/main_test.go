@@ -10,9 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"demandrace/internal/obs/stream"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -564,5 +567,76 @@ func TestWatchAlertsExclusive(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-watch", "http://x", "-alerts", "http://y"}, &buf, io.Discard); err == nil {
 		t.Fatal("-watch with -alerts accepted")
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to read while run writes to it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestWatchFollowsRestartedServer: a server restarted behind the same URL
+// numbers its events from 1 again, below the tail's watermark; the hello's
+// epoch gives the restart away and -watch prints the new server's events.
+func TestWatchFollowsRestartedServer(t *testing.T) {
+	var cur atomic.Pointer[stream.Bus]
+	old := stream.NewBus("n0")
+	cur.Store(old)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stream.ServeSSE(w, r, cur.Load())
+	}))
+	defer func() {
+		srv.CloseClientConnections()
+		srv.Close()
+	}()
+
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-watch", srv.URL, "-watch-count", "6"}, &out, io.Discard) }()
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; printed:\n%s", what, out.String())
+			}
+		}
+	}
+	waitUntil("the tail to connect", func() bool { return old.Subscribers() == 1 })
+	for _, j := range []string{"old-1", "old-2", "old-3"} {
+		old.Publish(stream.Event{Type: stream.TypeJobQueued, Job: j})
+	}
+	waitUntil("the old server's events", func() bool { return strings.Count(out.String(), "\n") == 4 })
+
+	fresh := stream.NewBus("n0")
+	cur.Store(fresh)
+	fresh.Publish(stream.Event{Type: stream.TypeJobQueued, Job: "new-1"})
+	fresh.Publish(stream.Event{Type: stream.TypeJobDone, Job: "new-2"})
+	srv.CloseClientConnections()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("-watch: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("-watch never printed the restarted server's events; printed:\n%s", out.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	for i, want := range []string{"new-1", "new-2"} {
+		if ln := lines[4+i]; !strings.Contains(ln, `"job":"`+want+`"`) {
+			t.Fatalf("line %d = %s, want job %s", 4+i, ln, want)
+		}
 	}
 }

@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -84,5 +88,50 @@ func TestSubmitSaveTraceAndStream(t *testing.T) {
 	}
 	if !strings.Contains(strings.TrimSuffix(out, string(want)), `"type":"race_found"`) {
 		t.Fatalf("no race_found line before the sealed result:\n%s", out)
+	}
+}
+
+// TestLocalRunIsTheSubmittedRequest: a local run analyzes exactly the
+// request -submit would send, so knobs the daemon reads as "default" (a
+// zero sample-after value, zero cores) mean the same locally, and knobs no
+// run can honour are errors on both sides instead of panics.
+func TestLocalRunIsTheSubmittedRequest(t *testing.T) {
+	srv := service.NewServer(service.Config{Workers: 1})
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Shutdown(context.Background())
+	})
+
+	for _, args := range [][]string{
+		{"-kernel", "racy_flag", "-sav", "0", "-skid", "20"},
+		{"-kernel", "kmeans", "-cores", "0", "-moesi"},
+	} {
+		local := runCLI(t, append(args, "-json")...)
+		remote := runCLI(t, append(args, "-json", "-submit", ts.URL, "-log-level", "error")...)
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, []byte(local)); err != nil {
+			t.Fatalf("%v: local -json output: %v", args, err)
+		}
+		if compact.String() != strings.TrimSpace(remote) {
+			t.Errorf("%v: the local report differs from the daemon's", args)
+		}
+	}
+
+	for _, knob := range [][]string{
+		{"-skid", "-1"},
+		{"-cores", "65"},
+		{"-policy", "sampling", "-rate", "1.5"},
+	} {
+		args := append([]string{"-kernel", "racy_flag"}, knob...)
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("ddrace %v ran", args)
+		}
+		err := run(append(args, "-submit", ts.URL, "-log-level", "error"), io.Discard, io.Discard)
+		var ae *service.APIError
+		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
+			t.Errorf("ddrace %v -submit: %v, want a 400", args, err)
+		}
 	}
 }

@@ -131,7 +131,8 @@ func DefaultConfig() Config {
 // HasLLC reports whether the configuration includes a last-level cache.
 func (c Config) HasLLC() bool { return c.L2Sets > 0 }
 
-func (c Config) validate() error {
+// Validate reports the first bound c breaks; New panics on the same checks.
+func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("cache: Cores must be ≥ 1, got %d", c.Cores)
 	}
@@ -317,7 +318,7 @@ type Hierarchy struct {
 // New constructs a hierarchy. It panics on an invalid configuration, since
 // configurations are compile-time constants in practice.
 func New(cfg Config) *Hierarchy {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	h := &Hierarchy{

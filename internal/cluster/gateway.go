@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -63,9 +64,6 @@ type Config struct {
 	// rules (ddgate -alert-rules). Nil takes alert.GatewayDefaults over
 	// the configured backends. Invalid rule sets fail NewGateway.
 	AlertRules []alert.Rule
-	// AlertHistory bounds the resolved-alert history served by
-	// GET /v1/alerts (default alert.DefaultHistory).
-	AlertHistory int
 	// Replicas is the replication factor R (ddgate -replicas): each sealed
 	// result is kept on its ring owner plus R−1 successors, copied
 	// asynchronously over the backends' /v1/cache endpoints. Values <= 1
@@ -153,11 +151,10 @@ type Gateway struct {
 	tenants *tenant.Registry    // nil when tenancy is off
 	jobKeys *recent[string]     // cache key per job, for read-repair
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	stopped  chan struct{}
-	tailWG   sync.WaitGroup
-	started  bool
+	// cancel stops the probe loop and the tails that wg waits for; nil
+	// until Start.
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	// sessionSeq rotates streaming-upload session placement over the ring
 	// (see handleTraceOpen).
@@ -197,8 +194,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 			Retention: cfg.TSRetention,
 			Runtime:   true,
 		}),
-		stop:       make(chan struct{}),
-		stopped:    make(chan struct{}),
 		cForwards:  cfg.Registry.Counter(obs.GateForwards),
 		cRetries:   cfg.Registry.Counter(obs.GateRetries),
 		cHedges:    cfg.Registry.Counter(obs.GateHedges),
@@ -264,7 +259,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		Bus:      g.bus,
 		Registry: cfg.Registry,
 		Log:      cfg.Log,
-		History:  cfg.AlertHistory,
 	})
 	if err != nil {
 		return nil, err
@@ -299,36 +293,42 @@ func (g *Gateway) Replication() *replica.Replicator { return g.replica }
 func (g *Gateway) Tenants() *tenant.Registry { return g.tenants }
 
 // Start launches the background loops: the health prober, the time-series
-// sampler, and one event tailer per backend (each follows the backend's
+// sampler, and one event tail per backend (each follows the backend's
 // /v1/events stream and re-publishes into the gateway bus, making the
 // gateway's stream a fleet-wide feed). Idempotent.
 func (g *Gateway) Start() {
-	if g.started {
+	if g.cancel != nil {
 		return
 	}
-	g.started = true
+	ctx, cancel := context.WithCancel(context.Background())
+	g.cancel = cancel
 	g.ts.Start()
+	g.wg.Add(len(g.backends) + 1)
 	for _, b := range g.backends {
-		g.tailWG.Add(1)
-		go g.tailLoop(b)
+		go func() {
+			defer g.wg.Done()
+			g.tail(ctx, b)
+		}()
 	}
-	go g.probeLoop()
+	go func() {
+		defer g.wg.Done()
+		g.probeLoop(ctx)
+	}()
 	if g.replica != nil {
 		g.replica.Start()
 		go g.seedReplicas()
 	}
 }
 
-// Stop halts the probe loop, the sampler, and the tailers. Idempotent;
-// safe if Start was never called.
+// Stop halts the probe loop, the sampler, and the tails. Idempotent; safe
+// if Start was never called.
 func (g *Gateway) Stop() {
-	g.stopOnce.Do(func() { close(g.stop) })
+	if g.cancel != nil {
+		g.cancel()
+	}
 	g.ts.Stop()
 	g.replica.Stop()
-	if g.started {
-		<-g.stopped
-		g.tailWG.Wait()
-	}
+	g.wg.Wait()
 }
 
 // upstream is one fully-read backend response.
@@ -337,6 +337,37 @@ type upstream struct {
 	header  http.Header
 	body    []byte
 	backend string // who answered
+}
+
+// fetch sends one request of the gateway's own (a probe, a fleet fan-out,
+// a replica copy) to b and reads at most limit bytes of the answer. A
+// non-2xx answer still returns its body and status, with an error naming
+// them; a transport failure or an oversized body returns status 0.
+func (g *Gateway) fetch(ctx context.Context, b *backend, method, path string, body []byte, limit int64) ([]byte, int, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, b.URL+path, rd)
+	if err != nil {
+		return nil, 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	data, err := readLimited(resp.Body, limit)
+	if err != nil {
+		return nil, 0, fmt.Errorf("cluster: reading %s's answer to %s %s: %w", b.Name, method, path, err)
+	}
+	if resp.StatusCode/100 != 2 {
+		return data, resp.StatusCode, fmt.Errorf("cluster: %s answered %d to %s %s", b.Name, resp.StatusCode, method, path)
+	}
+	return data, resp.StatusCode, nil
 }
 
 // retryableStatus reports whether an upstream answer should fail over to

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -126,21 +125,16 @@ func (b *backend) Health() Health {
 func (g *Gateway) probe(ctx context.Context, b *backend) (Health, error) {
 	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.URL+"/healthz", nil)
-	if err != nil {
+	data, code, err := g.fetch(pctx, b, http.MethodGet, "/healthz", nil, 1<<16)
+	if code == 0 {
 		return HealthDown, err
 	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return HealthDown, err
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Status string `json:"status"`
 	}
-	json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body)
+	json.Unmarshal(data, &body)
 	switch {
-	case resp.StatusCode == http.StatusOK:
+	case err == nil:
 		return HealthOK, nil
 	case body.Status == "degraded" || body.Status == "draining":
 		// Degraded-aware: the node is shedding load but still serving
@@ -148,7 +142,7 @@ func (g *Gateway) probe(ctx context.Context, b *backend) (Health, error) {
 		// healthy remainder.
 		return HealthDegraded, nil
 	default:
-		return HealthDown, fmt.Errorf("cluster: %s /healthz answered %d", b.Name, resp.StatusCode)
+		return HealthDown, err
 	}
 }
 
@@ -158,6 +152,9 @@ func (g *Gateway) probe(ctx context.Context, b *backend) (Health, error) {
 func (g *Gateway) ProbeNow(ctx context.Context) {
 	for _, b := range g.backends {
 		h, err := g.probe(ctx, b)
+		if ctx.Err() != nil {
+			return // shutting down: a canceled probe says nothing about b
+		}
 		b.mu.Lock()
 		prev := b.health
 		if h == HealthDown {
@@ -208,16 +205,15 @@ func (g *Gateway) publishRingChange(b *backend, change string, h Health) {
 	})
 }
 
-// probeLoop drives ProbeNow on the configured interval until Stop.
-func (g *Gateway) probeLoop() {
-	defer close(g.stopped)
+// probeLoop drives ProbeNow on the configured interval until ctx ends.
+func (g *Gateway) probeLoop(ctx context.Context) {
 	t := time.NewTicker(g.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			g.ProbeNow(context.Background())
-		case <-g.stop:
+			g.ProbeNow(ctx)
+		case <-ctx.Done():
 			return
 		}
 	}

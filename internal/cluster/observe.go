@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -50,82 +48,49 @@ func (r *recent[V]) get(id string) (V, bool) {
 	return v, ok
 }
 
-// tailLoop follows one backend's GET /v1/events stream for the gateway's
-// lifetime, re-publishing every event into the gateway bus so a single
-// subscription at the gateway sees the whole fleet. Connection failures
-// back off and reconnect — an unreachable backend costs a retry loop,
-// never a crash — and job IDs are rewritten into the gateway namespace so
-// anything a watcher sees can be fetched back through the gateway.
-func (g *Gateway) tailLoop(b *backend) {
-	defer g.tailWG.Done()
-	backoff := 500 * time.Millisecond
-	const maxBackoff = 5 * time.Second
+// tailRefusedWait paces a tail whose backend refused its /v1/events
+// request outright (stream.Follow returns on a non-200 answer).
+const tailRefusedWait = 5 * time.Second
+
+// tail follows one backend's GET /v1/events stream until ctx ends,
+// re-publishing every event into the gateway bus so a single subscription
+// at the gateway sees the whole fleet. stream.Follow carries it across
+// dropped connections and backend restarts without losing or repeating an
+// event; an unreachable backend costs a retry loop, never a crash. Job IDs
+// are rewritten into the gateway namespace so anything a watcher sees can
+// be fetched back through the gateway.
+func (g *Gateway) tail(ctx context.Context, b *backend) {
 	for {
-		select {
-		case <-g.stop:
+		err := stream.Follow(ctx, g.client, b.URL+"/v1/events", func(ev stream.Event) error {
+			g.republish(b, ev)
+			return nil
+		})
+		if ctx.Err() != nil {
 			return
-		default:
 		}
-		err := g.tailOnce(b)
+		g.log.Debug("event tail refused", "backend", b.Name, "error", err.Error())
 		select {
-		case <-g.stop:
+		case <-ctx.Done():
 			return
-		case <-time.After(backoff):
-		}
-		if err != nil {
-			g.log.Debug("event tail reconnecting", "backend", b.Name, "error", err.Error())
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		case <-time.After(tailRefusedWait):
 		}
 	}
 }
 
-// tailOnce holds one streaming connection to a backend's /v1/events until
-// it breaks or the gateway stops.
-func (g *Gateway) tailOnce(b *backend) error {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-g.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/v1/events", nil)
-	if err != nil {
-		return err
+// republish forwards one tailed backend event into the gateway bus. A done
+// job_done carries its result's cache key: the gateway indexes the job by
+// it for read-repair and enrolls it for replication, whether the job was
+// queued through the gateway or committed by a streamed upload.
+func (g *Gateway) republish(b *backend, ev stream.Event) {
+	if ev.Type == stream.TypeHello {
+		return // connection artifact of our own subscription, not fleet news
 	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return err
+	if ev.Job != "" {
+		ev.Job = joinJobID(b.Name, ev.Job)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s answered %d to /v1/events", b.Name, resp.StatusCode)
+	if key := ev.Detail["key"]; ev.Type == stream.TypeJobDone && key != "" {
+		g.jobKeys.put(ev.Job, key)
+		g.replica.Track(key, b.Name)
 	}
-	dec := stream.NewDecoder(resp.Body)
-	for {
-		ev, err := dec.Next()
-		if err != nil {
-			return err
-		}
-		if ev.Type == stream.TypeHello {
-			// Connection artifact of our own subscription, not fleet news.
-			continue
-		}
-		if ev.Job != "" {
-			ev.Job = joinJobID(b.Name, ev.Job)
-		}
-		if ev.Type == stream.TypeJobDone && ev.Detail["state"] == "done" {
-			// A sealed result just landed on this backend: enroll its key
-			// for replication. Submissions the gateway routed are already
-			// tracked; this catches jobs that finished asynchronously.
-			if key, ok := g.jobKeys.get(ev.Job); ok {
-				g.replica.Track(key, b.Name)
-			}
-		}
-		g.bus.Publish(ev)
-	}
+	g.bus.Publish(ev)
 }

@@ -8,11 +8,8 @@ package cluster
 // and serves read-repair when a result's owner cannot answer.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -45,64 +42,28 @@ type httpPeer struct {
 }
 
 func (p *httpPeer) Get(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.b.URL+"/v1/cache/"+key, nil)
+	data, _, err := p.g.fetch(ctx, p.b, http.MethodGet, "/v1/cache/"+key, nil, p.g.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := p.g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s answered %d for replica key", p.b.Name, resp.StatusCode)
-	}
-	data, err := readLimited(resp.Body, p.g.cfg.MaxBodyBytes)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: replica body from %s: %w", p.b.Name, err)
 	}
 	return data, nil
 }
 
 func (p *httpPeer) Put(ctx context.Context, key string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		p.b.URL+"/v1/cache/"+key, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.g.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("cluster: %s answered %d to replica write", p.b.Name, resp.StatusCode)
-	}
-	return nil
+	_, _, err := p.g.fetch(ctx, p.b, http.MethodPut, "/v1/cache/"+key, data, 1<<16)
+	return err
 }
 
 func (p *httpPeer) Keys(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.b.URL+"/v1/cache", nil)
+	data, _, err := p.g.fetch(ctx, p.b, http.MethodGet, "/v1/cache", nil, p.g.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := p.g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s answered %d to key listing", p.b.Name, resp.StatusCode)
 	}
 	var doc struct {
 		Keys []string `json:"keys"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, p.g.cfg.MaxBodyBytes)).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return doc.Keys, nil
+	err = json.Unmarshal(data, &doc)
+	return doc.Keys, err
 }
 
 // seedReplicas imports every backend's existing shard into tracking at

@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -131,19 +129,11 @@ func fanOut[T any](ctx context.Context, g *Gateway, path string) (docs []T, errs
 	fetch := func(b *backend, doc *T) error {
 		ctx, cancel := context.WithTimeout(ctx, g.cfg.StatsTimeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+path, nil)
+		data, _, err := g.fetch(ctx, b, http.MethodGet, path, nil, maxFanOutBodyBytes)
 		if err != nil {
 			return err
 		}
-		resp, err := g.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster: %s answered HTTP %d to %s", b.Name, resp.StatusCode, path)
-		}
-		return json.NewDecoder(io.LimitReader(resp.Body, maxFanOutBodyBytes)).Decode(doc)
+		return json.Unmarshal(data, doc)
 	}
 	var wg sync.WaitGroup
 	for i, b := range g.backends {

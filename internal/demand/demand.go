@@ -199,6 +199,14 @@ type Config struct {
 	SyncTrigger bool
 }
 
+// Validate reports the first bound c breaks; New panics on the same checks.
+func (c Config) Validate() error {
+	if c.Kind == Sampling && (c.SampleRate <= 0 || c.SampleRate > 1) {
+		return fmt.Errorf("demand: Sampling policy needs SampleRate in (0,1], got %g", c.SampleRate)
+	}
+	return nil
+}
+
 // DefaultQuietOps balances staying enabled across a sharing phase against
 // reverting promptly when a phase ends. The value is proportioned to this
 // simulator's kernel sizes (tens of thousands of ops); the paper's
@@ -289,8 +297,8 @@ func New(cfg Config, numThreads int, ctxOf func(vclock.TID) cache.Context, coreO
 	if cfg.QuietOps == 0 {
 		cfg.QuietOps = DefaultQuietOps
 	}
-	if cfg.Kind == Sampling && (cfg.SampleRate <= 0 || cfg.SampleRate > 1) {
-		panic(fmt.Sprintf("demand: Sampling policy needs SampleRate in (0,1], got %g", cfg.SampleRate))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	c := &Controller{
 		cfg:           cfg,

@@ -22,8 +22,10 @@
 //     per-chunk and whole-stream size caps map to 413 via the same
 //     *trace.LimitError the batch decoder uses.
 //
-// Idle sessions are garbage-collected: an upload abandoned mid-stream
-// cannot pin detector shadow state forever.
+// Only a receiving session holds a decoder and a live detector, and only
+// it counts against the session quota: commit (or failure) releases both
+// at once. Idle sessions are garbage-collected: an upload abandoned
+// mid-stream cannot pin detector shadow state forever.
 package ingest
 
 import (
@@ -53,8 +55,8 @@ const (
 var (
 	// ErrNoSession reports an unknown (or GC-reclaimed) session ID (404).
 	ErrNoSession = errors.New("ingest: no such session")
-	// ErrSessionQuota rejects an open because too many sessions are live
-	// (429 + Retry-After).
+	// ErrSessionQuota rejects an open because too many sessions are
+	// receiving (429 + Retry-After).
 	ErrSessionQuota = errors.New("ingest: session quota exceeded")
 	// ErrBusy rejects a chunk write because too many applies are in
 	// flight (429 + Retry-After).
@@ -121,11 +123,10 @@ func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // Config shapes a Manager. Zero fields take defaults.
 type Config struct {
-	// MaxSessions bounds concurrently live sessions (default 64).
+	// MaxSessions bounds concurrently receiving sessions (default 64);
+	// concurrent chunk applies across all sessions are bounded at twice
+	// that, and excess writes get ErrBusy.
 	MaxSessions int
-	// MaxInflight bounds concurrent chunk applies across all sessions
-	// (default 2× MaxSessions); excess writes get ErrBusy.
-	MaxInflight int
 	// MaxChunkBytes bounds one chunk's payload (default 4 MiB).
 	MaxChunkBytes int64
 	// Limits bound the whole decoded stream, mirroring the batch upload
@@ -133,13 +134,11 @@ type Config struct {
 	// declared count).
 	Limits trace.DecodeLimits
 	// IdleTimeout is how long a session may sit without a write before
-	// the GC reclaims it (default 2m). Committed sessions idle out too —
-	// their sealed result lives in the job store, the session only backs
-	// the partial endpoint.
+	// the GC reclaims it (default 2m); the sweep runs every IdleTimeout/4,
+	// at most once a second. Committed sessions idle out too — their
+	// sealed result lives in the job store, the session only backs the
+	// partial endpoint.
 	IdleTimeout time.Duration
-	// GCInterval paces the idle sweep (default IdleTimeout/4, floored at
-	// 1s).
-	GCInterval time.Duration
 	// Node names the process in span tracks and bus events.
 	Node string
 	// Registry receives ingest metrics. Nil builds a private one.
@@ -154,20 +153,11 @@ func (c Config) normalized() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 2 * c.MaxSessions
-	}
 	if c.MaxChunkBytes <= 0 {
 		c.MaxChunkBytes = 4 << 20
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.GCInterval <= 0 {
-		c.GCInterval = c.IdleTimeout / 4
-		if c.GCInterval < time.Second {
-			c.GCInterval = time.Second
-		}
 	}
 	if c.Node == "" {
 		c.Node = "ddserved"
@@ -210,22 +200,34 @@ type Session struct {
 	mu         sync.Mutex
 	state      string
 	failReason string
+	// dec, live and hash exist only while the session is receiving; end
+	// keeps what the status and partial views still report of them in
+	// events, program and races.
 	dec        *trace.StreamDecoder
 	live       *trace.LiveReplay
 	hash       hash.Hash
+	events     uint64
+	program    string
+	races      []detector.Report
 	chunks     []chunkMeta
 	bytes      int64
 	lastActive time.Time
 	rec        *obs.SpanRecorder
 	jobID      string
 	key        string
-	// commitsnap holds the sealed result between Commit and SetJob so a
-	// repeated commit after the job registered can answer idempotently.
-	committedAt time.Time
 }
 
 // touchLocked refreshes the idle clock; callers hold s.mu.
 func (s *Session) touchLocked() { s.lastActive = time.Now() }
+
+// progressLocked reports the session's decoded events, program and races:
+// live while receiving, as kept once ended. Callers hold s.mu.
+func (s *Session) progressLocked() (uint64, string, []detector.Report) {
+	if s.dec == nil {
+		return s.events, s.program, s.races
+	}
+	return s.dec.Decoded(), s.dec.Program(), s.live.Races()
+}
 
 // Commit is the sealed outcome of a session, everything the service needs
 // to register the job: the trace's summary (program name included), the
@@ -293,11 +295,16 @@ type Manager struct {
 	log *slog.Logger
 	bus *stream.Bus
 
+	// mu guards the fields below. A session's lock may be held while
+	// taking mu, never the reverse.
 	mu       sync.Mutex
 	sessions map[string]*Session
 	byJob    map[string]string // job ID → session ID, for partial-by-job
 	seq      uint64
 	inflight int
+	// receiving counts the sessions still taking chunks: what the quota,
+	// the open-sessions gauge and Len count.
+	receiving int
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -371,7 +378,7 @@ func (m *Manager) Stop() {
 // Open creates a session, enforcing the session quota.
 func (m *Manager) Open(opts OpenOptions) (SessionStatus, error) {
 	m.mu.Lock()
-	if len(m.sessions) >= m.cfg.MaxSessions {
+	if m.receiving >= m.cfg.MaxSessions {
 		m.mu.Unlock()
 		m.cRejected.Inc()
 		return SessionStatus{}, ErrSessionQuota
@@ -387,7 +394,8 @@ func (m *Manager) Open(opts OpenOptions) (SessionStatus, error) {
 		rec:        obs.NewSpanRecorder(m.cfg.Node, 0),
 	}
 	m.sessions[s.ID] = s
-	m.gOpen.Set(int64(len(m.sessions)))
+	m.receiving++
+	m.gOpen.Set(int64(m.receiving))
 	m.mu.Unlock()
 	m.cOpened.Inc()
 	m.log.Info("ingest session open", "session", s.ID)
@@ -413,7 +421,7 @@ func (m *Manager) Append(id string, seq uint64, data []byte, declaredCRC *uint32
 	// Inflight bound first: it protects the decode/analyze work, so it is
 	// checked before any of that work starts.
 	m.mu.Lock()
-	if m.inflight >= m.cfg.MaxInflight {
+	if m.inflight >= 2*m.cfg.MaxSessions {
 		m.mu.Unlock()
 		m.cRejected.Inc()
 		return Ack{}, ErrBusy
@@ -545,10 +553,22 @@ func (m *Manager) ackLocked(s *Session, seq uint64, dup bool) Ack {
 
 // failLocked moves the session to the failed state; callers hold s.mu.
 func (m *Manager) failLocked(s *Session, err error) {
-	s.state = StateFailed
 	s.failReason = err.Error()
+	m.endLocked(s, StateFailed)
 	m.cFailed.Inc()
 	m.log.Warn("ingest session failed", "session", s.ID, "error", err.Error())
+}
+
+// endLocked moves a receiving session to state, committed or failed, and
+// frees its session slot, decoder, live detector and hasher, keeping what
+// Status and Partial still report. Callers hold s.mu; a session ends once.
+func (m *Manager) endLocked(s *Session, state string) {
+	s.events, s.program, s.races = s.progressLocked()
+	s.state, s.dec, s.live, s.hash = state, nil, nil, nil
+	m.mu.Lock()
+	m.receiving--
+	m.gOpen.Set(int64(m.receiving))
+	m.mu.Unlock()
 }
 
 // Commit seals the session: the decoder must have seen the full declared
@@ -577,8 +597,6 @@ func (m *Manager) Commit(id string) (*Commit, error) {
 		m.failLocked(s, ie)
 		return nil, ie
 	}
-	s.state = StateCommitted
-	s.committedAt = time.Now()
 	if s.hash != nil {
 		s.key = fmt.Sprintf("%x", s.hash.Sum(nil))
 	}
@@ -586,15 +604,16 @@ func (m *Manager) Commit(id string) (*Commit, error) {
 	m.log.Info("ingest session committed", "session", s.ID,
 		"chunks", len(s.chunks), "bytes", s.bytes, "events", s.dec.Decoded(),
 		"races", len(s.live.Races()), "growths", s.live.Rebuilds())
-	sum := s.live.Summary()
-	sum.Program = s.dec.Program()
-	return &Commit{
-		Summary:  sum,
+	com := &Commit{
+		Summary:  s.live.Summary(),
 		Detector: s.live.Detector(),
 		Key:      s.key,
 		Bytes:    s.bytes,
 		Rec:      s.rec,
-	}, nil
+	}
+	com.Summary.Program = s.dec.Program()
+	m.endLocked(s, StateCommitted)
+	return com, nil
 }
 
 // SetJob binds the registered job ID to a committed session, completing
@@ -625,14 +644,15 @@ func (m *Manager) Status(id string) (SessionStatus, error) {
 func (m *Manager) statusOf(s *Session) SessionStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	events, program, races := s.progressLocked()
 	return SessionStatus{
 		Session:       s.ID,
 		State:         s.state,
 		HighWater:     uint64(len(s.chunks)),
 		Bytes:         s.bytes,
-		Events:        s.dec.Decoded(),
-		Races:         len(s.live.Races()),
-		Program:       s.dec.Program(),
+		Events:        events,
+		Races:         len(races),
+		Program:       program,
 		Job:           s.jobID,
 		MaxChunkBytes: m.cfg.MaxChunkBytes,
 		Error:         s.failReason,
@@ -654,31 +674,31 @@ func (m *Manager) Partial(id string) (Partial, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Copy: the live slice grows while other chunks apply.
-	races := append([]detector.Report(nil), s.live.Races()...)
+	events, program, races := s.progressLocked()
 	return Partial{
 		Session:   s.ID,
 		State:     s.state,
 		Job:       s.jobID,
-		Program:   s.dec.Program(),
+		Program:   program,
 		HighWater: uint64(len(s.chunks)),
 		Bytes:     s.bytes,
-		Events:    s.dec.Decoded(),
-		Races:     races,
+		Events:    events,
+		// Copy: the live slice grows while other chunks apply.
+		Races: append([]detector.Report(nil), races...),
 	}, nil
 }
 
-// Len returns the live session count.
+// Len returns the number of sessions still receiving.
 func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sessions)
+	return m.receiving
 }
 
 // gcLoop sweeps idle sessions until Stop.
 func (m *Manager) gcLoop() {
 	defer close(m.done)
-	tick := time.NewTicker(m.cfg.GCInterval)
+	tick := time.NewTicker(max(m.cfg.IdleTimeout/4, time.Second))
 	defer tick.Stop()
 	for {
 		select {
@@ -695,29 +715,36 @@ func (m *Manager) gcLoop() {
 func (m *Manager) sweep(now time.Time) {
 	cutoff := now.Add(-m.cfg.IdleTimeout)
 	m.mu.Lock()
-	var expired []*Session
-	for id, s := range m.sessions {
+	all := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		all = append(all, s)
+	}
+	m.mu.Unlock()
+	for _, s := range all {
 		s.mu.Lock()
 		idle := s.lastActive.Before(cutoff)
-		state := s.state
+		expired := idle && s.state == StateReceiving
+		if expired {
+			// Failed, so a chunk or commit already holding the session is
+			// refused rather than applied to a session nobody can see.
+			s.failReason = "ingest: session expired"
+			m.endLocked(s, StateFailed)
+		}
 		jobID := s.jobID
 		s.mu.Unlock()
 		if !idle {
 			continue
 		}
-		delete(m.sessions, id)
+		m.mu.Lock()
+		delete(m.sessions, s.ID)
 		if jobID != "" {
 			delete(m.byJob, jobID)
 		}
-		if state == StateReceiving {
-			expired = append(expired, s)
+		m.mu.Unlock()
+		if expired {
+			m.cExpired.Inc()
+			m.log.Warn("ingest session expired", "session", s.ID)
 		}
-	}
-	m.gOpen.Set(int64(len(m.sessions)))
-	m.mu.Unlock()
-	for _, s := range expired {
-		m.cExpired.Inc()
-		m.log.Warn("ingest session expired", "session", s.ID)
 	}
 }
 

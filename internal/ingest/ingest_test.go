@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -366,6 +367,71 @@ func TestIdleGC(t *testing.T) {
 	}
 	if got := reg.CounterValue(obs.IngestSessionsExpired); got != 1 {
 		t.Fatalf("committed idle-out counted as expired: %d", got)
+	}
+}
+
+// TestCommittedSessionFreesItsSlot: a committed session no longer counts
+// as open, so MaxSessions+1 sequential uploads all open, and the gauge and
+// Len drop back at each commit.
+func TestCommittedSessionFreesItsSlot(t *testing.T) {
+	_, raw := racyTrace(t)
+	m := newManager(t, ingest.Config{MaxSessions: 2})
+	reg := m.Config().Registry
+	for i := 0; i < 3; i++ {
+		st, err := m.Open(ingest.OpenOptions{})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if got := reg.Gauge(obs.IngestSessionsOpen).Value(); got != 1 || m.Len() != 1 {
+			t.Fatalf("session %d receiving: gauge %d, Len %d; want 1", i, got, m.Len())
+		}
+		streamIn(t, m, st.Session, chunksOf(raw, 64))
+		if _, err := m.Commit(st.Session); err != nil {
+			t.Fatalf("session %d commit: %v", i, err)
+		}
+		if got := reg.Gauge(obs.IngestSessionsOpen).Value(); got != 0 || m.Len() != 0 {
+			t.Fatalf("session %d committed: gauge %d, Len %d; want 0", i, got, m.Len())
+		}
+		if st, err := m.Status(st.Session); err != nil || st.State != ingest.StateCommitted || st.Races != 1 {
+			t.Fatalf("session %d status after commit = %+v, %v", i, st, err)
+		}
+	}
+}
+
+// TestConcurrentSessionsCount: sessions committed, failed and expired
+// from many goroutines at once, with the sweep racing the commits, each
+// leave the receiving count exactly once: the gauge and Len end at zero.
+func TestConcurrentSessionsCount(t *testing.T) {
+	_, raw := racyTrace(t)
+	m := newManager(t, ingest.Config{MaxSessions: 64, IdleTimeout: time.Millisecond})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				st, err := m.Open(ingest.OpenOptions{})
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				chunks := chunksOf(raw, 97)
+				if i%2 == 1 {
+					chunks = chunks[:len(chunks)/2] // an incomplete stream fails at commit
+				}
+				for seq, c := range chunks {
+					if _, err := m.Append(st.Session, uint64(seq), c, nil); err != nil {
+						break // expired under the sweep
+					}
+				}
+				m.SweepNow()
+				m.Commit(st.Session) // commits, fails, or finds the session ended
+			}
+		}()
+	}
+	wg.Wait()
+	if got := m.Config().Registry.Gauge(obs.IngestSessionsOpen).Value(); got != 0 || m.Len() != 0 {
+		t.Fatalf("after every session ended: gauge %d, Len %d; want 0", got, m.Len())
 	}
 }
 

@@ -30,7 +30,8 @@ const (
 	TypeJobQueued = "job_queued"
 	// TypeJobStarted fires when a worker picks the job up.
 	TypeJobStarted = "job_started"
-	// TypeJobDone fires when a job completes (Detail carries the state).
+	// TypeJobDone fires when a job completes (Detail carries the state, and
+	// the result's cache key when the state is done).
 	TypeJobDone = "job_done"
 	// TypeCacheHit fires when a submit is served from the result cache.
 	TypeCacheHit = "cache_hit"
@@ -83,6 +84,10 @@ type Event struct {
 	// that fell out of the bus's retained ring before the client's
 	// Last-Event-ID — history the resume could not replay.
 	Gap uint64 `json:"gap,omitempty"`
+	// Epoch, set only on a hello, is the serving bus's creation time in
+	// Unix nanoseconds. A reconnecting client that sees it change is talking
+	// to a restarted server, whose sequence numbers begin again at 1.
+	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // DefaultSubBuffer bounds each subscriber's undelivered-event ring.
@@ -183,7 +188,8 @@ const DefaultRetained = 1024
 // Bus fans events out to subscribers. A nil *Bus is a valid no-op
 // publisher, so event publication can be wired unconditionally.
 type Bus struct {
-	node string
+	node  string
+	epoch int64
 
 	mu   sync.Mutex
 	seq  uint64
@@ -201,6 +207,7 @@ type Bus struct {
 func NewBus(node string) *Bus {
 	return &Bus{
 		node:     node,
+		epoch:    time.Now().UnixNano(),
 		subs:     make(map[*Sub]struct{}),
 		retained: make([]Event, DefaultRetained),
 	}
@@ -313,13 +320,13 @@ func (b *Bus) Subscribers() int {
 const keepalive = 15 * time.Second
 
 // ServeSSE streams the bus over w as Server-Sent Events until the request
-// context ends. The first event is a hello carrying the node name; after
-// that, every published event becomes an `id:`/`event:`/`data:` block. A
-// client that reconnects with a Last-Event-ID header (or ?last_event_id=
-// query parameter) first gets the retained events after that sequence
-// number replayed; history already evicted from the retained ring is
-// reported as the hello's gap field. Slow readers lose oldest events
-// (never service throughput).
+// context ends. The first event is a hello carrying the node name and the
+// bus's epoch; after that, every published event becomes an
+// `id:`/`event:`/`data:` block. A client that reconnects with a
+// Last-Event-ID header (or ?last_event_id= query parameter) first gets the
+// retained events after that sequence number replayed; history already
+// evicted from the retained ring is reported as the hello's gap field.
+// Slow readers lose oldest events (never service throughput).
 func ServeSSE(w http.ResponseWriter, r *http.Request, b *Bus) {
 	if b == nil {
 		http.Error(w, "event stream unavailable", http.StatusNotFound)
@@ -363,6 +370,7 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, b *Bus) {
 		Type:   TypeHello,
 		Node:   b.node,
 		Gap:    gap,
+		Epoch:  b.epoch,
 	}
 	if err := writeSSE(w, hello); err != nil {
 		return
@@ -419,9 +427,8 @@ func writeSSE(w io.Writer, ev Event) error {
 	return err
 }
 
-// Decoder reads Server-Sent Events produced by ServeSSE back into Events —
-// the client half used by `ddrace -watch` and by a gateway tailing its
-// backends.
+// Decoder reads Server-Sent Events produced by ServeSSE back into Events,
+// one connection's worth; Follow is the reconnecting client built on it.
 type Decoder struct {
 	r *bufio.Reader
 }
@@ -450,6 +457,109 @@ func (d *Decoder) Next() (Event, error) {
 				return Event{}, fmt.Errorf("stream: decoding event: %w", err)
 			}
 			return ev, nil
+		}
+	}
+}
+
+// A dropped Follow connection is retried after followMinBackoff, doubling
+// to followMaxBackoff; the wait resets once events flow again.
+const (
+	followMinBackoff = 500 * time.Millisecond
+	followMaxBackoff = 5 * time.Second
+)
+
+// Follow tails the ServeSSE stream at url through hc until ctx ends,
+// handing fn the first hello and then every stamped event once, in order.
+// A dropped connection is retried with backoff and resumed with
+// Last-Event-ID, so the server replays what the outage missed from its
+// retained ring; a replayed event at or below the watermark is dropped. A
+// hello whose epoch differs from the previous connection's means the
+// server restarted: the watermark resets and the next connection replays
+// the new bus from its first event.
+//
+// Follow returns ctx.Err() once ctx ends (fn is not called after that),
+// fn's error as soon as fn returns one, and an error naming the status
+// when the server answers anything but 200: a server that is up and
+// refuses is not retried.
+func Follow(ctx context.Context, hc *http.Client, url string, fn func(Event) error) error {
+	f := follower{hc: hc, url: url, fn: fn, backoff: followMinBackoff}
+	for {
+		retry, err := f.conn(ctx)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if !retry {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(f.backoff):
+		}
+		f.backoff = min(2*f.backoff, followMaxBackoff)
+	}
+}
+
+// follower is Follow's state across connections.
+type follower struct {
+	hc      *http.Client
+	url     string
+	fn      func(Event) error
+	backoff time.Duration
+	// after is the highest sequence number handed to fn; resume says to
+	// send it as Last-Event-ID (until an event arrives, a tail is live-only).
+	after  uint64
+	resume bool
+	// epoch is the latest hello's; greeted says the first hello went to fn.
+	epoch   int64
+	greeted bool
+}
+
+// conn holds one connection until it ends. retry is false when Follow must
+// return err: a non-200 answer, an error from fn, or ctx's end.
+func (f *follower) conn(ctx context.Context) (retry bool, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.url, nil)
+	if err != nil {
+		return false, err
+	}
+	if f.resume {
+		req.Header.Set("Last-Event-ID", strconv.FormatUint(f.after, 10))
+	}
+	resp, err := f.hc.Do(req)
+	if err != nil {
+		return true, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return false, fmt.Errorf("stream: %s answered %d", f.url, resp.StatusCode)
+	}
+	dec := NewDecoder(resp.Body)
+	for {
+		ev, err := dec.Next()
+		if err != nil {
+			return true, err
+		}
+		if ctx.Err() != nil {
+			return false, ctx.Err()
+		}
+		f.backoff = followMinBackoff
+		switch {
+		case ev.Type == TypeHello && f.greeted && ev.Epoch != f.epoch:
+			f.epoch, f.after, f.resume = ev.Epoch, 0, true
+			return true, fmt.Errorf("stream: %s restarted", f.url)
+		case ev.Type == TypeHello:
+			f.epoch = ev.Epoch
+			if f.greeted {
+				continue // one greeting per Follow, not per connection
+			}
+			f.greeted = true
+		case ev.Seq <= f.after:
+			continue // replayed across a reconnect: already handed on
+		default:
+			f.after, f.resume = ev.Seq, true
+		}
+		if err := f.fn(ev); err != nil {
+			return false, err
 		}
 	}
 }

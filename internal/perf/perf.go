@@ -149,7 +149,8 @@ func DefaultConfig(contexts int) Config {
 	return Config{Contexts: contexts, Sel: SelHITM, SampleAfter: 1}
 }
 
-func (c Config) validate() error {
+// Validate reports the first bound c breaks; New panics on the same checks.
+func (c Config) Validate() error {
 	if c.Contexts < 1 {
 		return fmt.Errorf("perf: Contexts must be ≥ 1, got %d", c.Contexts)
 	}
@@ -223,7 +224,7 @@ type PMU struct {
 
 // New constructs a PMU. It panics on invalid configuration.
 func New(cfg Config) *PMU {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	p := &PMU{

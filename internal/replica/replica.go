@@ -47,6 +47,13 @@ type Peer interface {
 	Keys(ctx context.Context) ([]string, error)
 }
 
+// workers is how many goroutines drain the task queue; opTimeout bounds
+// one peer Get or Put.
+const (
+	workers   = 2
+	opTimeout = 10 * time.Second
+)
+
 // Config shapes a Replicator.
 type Config struct {
 	// Factor is the replication factor R: each key is kept on its owner
@@ -54,8 +61,6 @@ type Config struct {
 	Factor int
 	// QueueDepth bounds the pending-copy task queue (default 1024).
 	QueueDepth int
-	// Workers is how many goroutines drain the queue (default 2).
-	Workers int
 	// ResyncInterval is the period of the anti-entropy sweep that
 	// re-enqueues under-replicated keys (default 2s).
 	ResyncInterval time.Duration
@@ -63,8 +68,6 @@ type Config struct {
 	// membership change before the replication /healthz subsystem reports
 	// degraded (default 15s).
 	HandoffDeadline time.Duration
-	// OpTimeout bounds one peer Get/Put (default 10s).
-	OpTimeout time.Duration
 	// Ring places keys. Required.
 	Ring Placement
 	// Peer resolves a member name to its replication surface, nil for
@@ -118,17 +121,11 @@ func New(cfg Config) *Replicator {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
 	if cfg.ResyncInterval <= 0 {
 		cfg.ResyncInterval = 2 * time.Second
 	}
 	if cfg.HandoffDeadline <= 0 {
 		cfg.HandoffDeadline = 15 * time.Second
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 10 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -169,7 +166,7 @@ func (r *Replicator) Start() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
-	for i := 0; i < r.cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
@@ -275,14 +272,15 @@ func (r *Replicator) chain(key string) []string {
 // holder and copy them to every chain member that lacks them. Remembered
 // holders are tried as sources first, but every desired member is probed
 // too — a restarted owner whose disk survived (or whose crash made us
-// forget it) is rediscovered here instead of being re-pushed to.
+// forget it) is rediscovered here instead of being re-pushed to. A pass
+// looks up only its own key's chain; the under-replication count, which
+// needs every tracked key's, is recounted by Resync and StatsSnapshot.
 func (r *Replicator) replicate(ctx context.Context, key string) {
 	desired := r.chain(key)
 	r.mu.Lock()
 	e := r.keys[key]
 	if e == nil || len(desired) == 0 {
 		r.mu.Unlock()
-		r.settle(key)
 		return
 	}
 	sources := make([]string, 0, len(e.holders)+len(desired))
@@ -301,7 +299,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 	}
 	r.mu.Unlock()
 	if !need {
-		r.settle(key)
 		return
 	}
 
@@ -309,7 +306,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 	if data == nil {
 		// No reachable holder: leave the key under-replicated; the resync
 		// sweep retries after membership settles.
-		r.settle(key)
 		return
 	}
 	r.mu.Lock()
@@ -329,7 +325,7 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 		if r.cWrites != nil {
 			r.cWrites.Inc()
 		}
-		opCtx, cancel := context.WithTimeout(ctx, r.cfg.OpTimeout)
+		opCtx, cancel := context.WithTimeout(ctx, opTimeout)
 		err := p.Put(opCtx, key, data)
 		cancel()
 		if err != nil {
@@ -344,7 +340,6 @@ func (r *Replicator) replicate(ctx context.Context, key string) {
 		r.mu.Unlock()
 		r.cfg.Log.Info("replica written", "key", key, "source", src, "target", m)
 	}
-	r.settle(key)
 }
 
 // fetch pulls key's bytes from the first reachable source.
@@ -354,7 +349,7 @@ func (r *Replicator) fetch(ctx context.Context, key string, sources []string) ([
 		if p == nil {
 			continue
 		}
-		opCtx, cancel := context.WithTimeout(ctx, r.cfg.OpTimeout)
+		opCtx, cancel := context.WithTimeout(ctx, opTimeout)
 		data, err := p.Get(opCtx, key)
 		cancel()
 		if err == nil && data != nil {
@@ -402,7 +397,7 @@ func (r *Replicator) Repair(ctx context.Context, key, avoid string) (data []byte
 		if p == nil {
 			continue
 		}
-		opCtx, cancel := context.WithTimeout(ctx, r.cfg.OpTimeout)
+		opCtx, cancel := context.WithTimeout(ctx, opTimeout)
 		data, err := p.Get(opCtx, key)
 		cancel()
 		if err != nil || data == nil {
@@ -533,9 +528,6 @@ func (r *Replicator) underReplicated(key string) bool {
 	}
 	return false
 }
-
-// settle recomputes the under-replication gauges after a pass over key.
-func (r *Replicator) settle(key string) { r.settleAll() }
 
 // settleAll recounts under-replicated keys and refreshes the gauges.
 func (r *Replicator) settleAll() {

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -364,5 +365,42 @@ func TestStartStop(t *testing.T) {
 			t.Fatal("worker never replicated the tracked key")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countingRing counts the placement lookups a replicator makes.
+type countingRing struct {
+	*fakeRing
+	mu      sync.Mutex
+	lookups int
+}
+
+func (c *countingRing) Lookup(key string, n int) []string {
+	c.mu.Lock()
+	c.lookups++
+	c.mu.Unlock()
+	return c.fakeRing.Lookup(key, n)
+}
+
+// TestPassLookupsBounded: a replication pass looks up its own key's chain,
+// not every tracked key's, so draining N keys costs O(N) lookups.
+func TestPassLookupsBounded(t *testing.T) {
+	f := newFleet("a", "b", "c")
+	ring := &countingRing{fakeRing: f.ring}
+	r := New(Config{Factor: 2, Ring: ring, Peer: f.peer})
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("k%d", i)
+		f.ring.place(key, i%3)
+		f.peers[f.ring.Lookup(key, 1)[0]].data[key] = []byte("x")
+		r.Track(key, f.ring.Lookup(key, 1)[0])
+	}
+	ring.lookups = 0
+	drain(r)
+	if perPass := float64(ring.lookups) / keys; perPass > 2 {
+		t.Fatalf("%d lookups over %d passes (%.1f per pass), want at most 2 per pass", ring.lookups, keys, perPass)
+	}
+	if s := r.StatsSnapshot(); s.Tracked != keys || s.UnderReplicated != 0 {
+		t.Fatalf("stats after drain = %+v", s)
 	}
 }

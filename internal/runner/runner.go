@@ -139,6 +139,22 @@ func (c Config) normalized() Config {
 	return c
 }
 
+// Validate reports the first bound c breaks, the check the cache
+// hierarchy, the PMU or the demand controller would otherwise panic on;
+// Run returns the same error.
+func (c Config) Validate() error { return c.normalized().validate() }
+
+// validate is Validate on a normalized configuration.
+func (c Config) validate() error {
+	if err := c.Cache.Validate(); err != nil {
+		return err
+	}
+	if err := c.PMU.Validate(); err != nil {
+		return err
+	}
+	return c.Demand.Validate()
+}
+
 // Report is the complete result of one run.
 type Report struct {
 	Program string
@@ -554,6 +570,11 @@ func execute(ctx context.Context, p *program.Program, cfgs []Config) ([]*Report,
 	}
 	if len(cfgs) == 0 {
 		return []*Report{}, nil
+	}
+	for _, c := range cfgs {
+		if err := c.validate(); err != nil {
+			return nil, err
+		}
 	}
 	sc, err := sched.New(p, cfgs[0].Sched)
 	if err != nil {

@@ -289,6 +289,31 @@ func TestPlacementOutsideContextsRejected(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeKnobsAreErrors: a configuration the PMU, the cache
+// hierarchy or the demand controller would panic on is an error from Run
+// and from Validate, before anything is simulated.
+func TestOutOfRangeKnobsAreErrors(t *testing.T) {
+	k, _ := workloads.ByName("racy_flag")
+	p := k.Build(workloads.DefaultConfig())
+	for name, mutate := range map[string]func(*Config){
+		"skid -1":       func(c *Config) { c.PMU.Skid = -1 },
+		"65 cores":      func(c *Config) { c.Cache.Cores = 65 },
+		"sampling at 0": func(c *Config) { c.Demand.Kind, c.Demand.SampleRate = demand.Sampling, 0 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if rep, err := Run(p, cfg); err == nil || rep != nil {
+			t.Errorf("%s: Run = %v, %v; want an error", name, rep, err)
+		}
+	}
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Errorf("default configuration rejected: %v", err)
+	}
+}
+
 func TestReportString(t *testing.T) {
 	r := mustRun(t, racyLoop(5), DefaultConfig().WithPolicy(demand.Continuous))
 	if r.String() == "" {

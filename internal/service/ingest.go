@@ -186,7 +186,7 @@ func (s *Server) completeStreamed(ctx context.Context, sessionID string, com *in
 	s.bus.Publish(stream.Event{
 		Type: stream.TypeJobDone, Job: j.id, Trace: j.trace,
 		Detail: map[string]string{
-			"kind": j.kind, "name": j.name, "state": string(StateDone), "streamed": "true",
+			"kind": j.kind, "name": j.name, "state": string(StateDone), "streamed": "true", "key": j.key,
 		},
 	})
 	// Bind the job to the session last: from here on, replayed commits and

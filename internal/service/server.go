@@ -89,9 +89,6 @@ type Config struct {
 	// validation are logged and replaced by the defaults — loading from a
 	// file should validate first via alert.LoadRulesFile.
 	AlertRules []alert.Rule
-	// AlertHistory bounds the resolved-alert history served by
-	// GET /v1/alerts (default alert.DefaultHistory).
-	AlertHistory int
 	// Tenants, when non-empty, turns on multi-tenant admission (ddserved
 	// -tenants): every submission must carry a known X-API-Key, and each
 	// tenant is held to its token bucket and weighted share of QueueDepth.
@@ -270,7 +267,6 @@ func NewServer(cfg Config) *Server {
 		Bus:      s.bus,
 		Registry: cfg.Registry,
 		Log:      cfg.Log,
-		History:  cfg.AlertHistory,
 	}
 	eng, err := alert.New(acfg)
 	if err != nil {
@@ -386,7 +382,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Status, error) {
 		return Status{}, err
 	}
 	n := req.normalized()
-	rcfg, kc, err := n.config()
+	rcfg, kc, err := n.Config()
 	if err != nil {
 		return Status{}, err
 	}
@@ -668,10 +664,13 @@ func (s *Server) execute(j *Job) {
 	default:
 		s.log.Warn("job done", append(attrs, "error", j.errMsg)...)
 	}
-	s.bus.Publish(stream.Event{
-		Type: stream.TypeJobDone, Job: j.id, Trace: j.trace,
-		Detail: map[string]string{"kind": j.kind, "name": j.name, "state": string(state)},
-	})
+	detail := map[string]string{"kind": j.kind, "name": j.name, "state": string(state)}
+	if state == StateDone {
+		// The result's cache key: what a gateway tailing this stream
+		// replicates and read-repairs the job by.
+		detail["key"] = j.key
+	}
+	s.bus.Publish(stream.Event{Type: stream.TypeJobDone, Job: j.id, Trace: j.trace, Detail: detail})
 }
 
 // Status returns the snapshot of a job.

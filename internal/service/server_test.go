@@ -327,6 +327,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeKnobs: a request whose every field parses
+// but which the PMU, the cache hierarchy or the demand controller would
+// reject is a 400 at submit, not an accepted job that fails later.
+func TestSubmitRejectsOutOfRangeKnobs(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"kernel":"racy_flag","skid":-1}`,
+		`{"kernel":"racy_flag","cores":65}`,
+		`{"kernel":"racy_flag","policy":"sampling","sample_rate":1.5}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := s.Registry().CounterValue(obs.SvcJobsSubmitted); n != 0 {
+		t.Fatalf("%d jobs admitted, want 0", n)
+	}
+}
+
 func TestHealthAndMetricsEndpoints(t *testing.T) {
 	s, ts, cl := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()

@@ -160,7 +160,9 @@ func (r Request) normalized() Request {
 	return r
 }
 
-// Validate checks the request against the bundled kernels and policy names.
+// Validate checks the request against the bundled kernels, the policy and
+// scope names, and the simulator's configuration bounds, so a request no
+// run could complete is refused before it is queued.
 func (r Request) Validate() error {
 	if r.Kernel == "" {
 		return errors.New("service: request missing kernel")
@@ -168,11 +170,7 @@ func (r Request) Validate() error {
 	if _, ok := workloads.ByName(r.Kernel); !ok {
 		return fmt.Errorf("service: unknown kernel %q", r.Kernel)
 	}
-	n := r.normalized()
-	if _, err := demand.ParsePolicy(n.Policy); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	if _, err := demand.ParseScope(n.Scope); err != nil {
+	if _, _, err := r.Config(); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
@@ -192,9 +190,11 @@ func (r Request) CacheKey() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// config translates the request into the runner configuration, mirroring
-// the ddrace CLI's flag wiring.
-func (r Request) config() (runner.Config, workloads.Config, error) {
+// Config translates the request into the runner and workload
+// configurations, failing on a name that does not parse or a knob out of
+// the simulator's range. The daemon's jobs and ddrace's local runs both
+// take their configuration from here.
+func (r Request) Config() (runner.Config, workloads.Config, error) {
 	n := r.normalized()
 	pol, err := demand.ParsePolicy(n.Policy)
 	if err != nil {
@@ -227,10 +227,13 @@ func (r Request) config() (runner.Config, workloads.Config, error) {
 	if n.Random {
 		cfg.Sched.Policy = sched.RandomInterleave
 	}
+	cfg = cfg.WithPolicy(pol)
+	if err := cfg.Validate(); err != nil {
+		return runner.Config{}, workloads.Config{}, err
+	}
 	if n.Profile {
 		cfg.Prof = prof.New(n.ProfileEvery)
 	}
-	cfg = cfg.WithPolicy(pol)
 	return cfg, workloads.Config{Threads: n.Threads, Scale: n.Scale}, nil
 }
 
